@@ -244,7 +244,7 @@ func main() {
 		if *guestProf != "" {
 			gprof = profile.NewProfile("")
 		}
-		rep, err := replay.SequentialProfiled(nil, bt.Prog, rec, nil, sink, gprof)
+		rep, err := replay.Run(context.Background(), bt.Prog, replay.FromRecording(rec), replay.Options{Sink: sink, Profile: gprof})
 		check(err)
 		fmt.Printf("replayed %d epochs in %d simulated cycles; final hash %016x verified\n",
 			rep.Epochs, rep.Cycles, rep.FinalHash)
@@ -280,14 +280,17 @@ func main() {
 			}
 			return profile.NewProfile("")
 		}
+		src := replay.FromRecording(res.Recording)
 		seqProf := newProf()
-		seq, err := replay.SequentialProfiled(nil, bt.Prog, res.Recording, nil, sink, seqProf)
+		seq, err := replay.Run(context.Background(), bt.Prog, src, replay.Options{Sink: sink, Profile: seqProf})
 		check(err)
 		checkProf("sequential", seqProf)
 		fmt.Printf("sequential replay: OK (%d cycles)\n", seq.Cycles)
 		if *parallel {
 			parProf := newProf()
-			par, err := replay.ParallelProfiled(nil, bt.Prog, res.Recording, res.Boundaries, *workers, nil, sink, parProf)
+			par, err := replay.Run(context.Background(), bt.Prog, src, replay.Options{
+				Boundaries: res.Boundaries, CPUs: *workers, Sink: sink, Profile: parProf,
+			})
 			check(err)
 			checkProf("parallel", parProf)
 			fmt.Printf("parallel replay:   OK (%d cycles on %d cores)\n", par.Cycles, *workers)
@@ -295,7 +298,9 @@ func main() {
 		if *stride > 1 {
 			sparse := res.ThinBoundaries(*stride)
 			spProf := newProf()
-			sp, err := replay.ParallelSparseProfiled(nil, bt.Prog, res.Recording, sparse, *workers, nil, sink, spProf)
+			sp, err := replay.Run(context.Background(), bt.Prog, src, replay.Options{
+				Boundaries: sparse, CPUs: *workers, Sink: sink, Profile: spProf,
+			})
 			check(err)
 			checkProf("sparse", spProf)
 			fmt.Printf("sparse replay:     OK (stride %d, %d of %d checkpoints kept, %d cycles)\n",

@@ -21,9 +21,11 @@
 // commit-lag signal, within [AdaptiveMinSpares, AdaptiveMaxSpares];
 // recordings stay deterministic and bit-identically replayable either way.
 //
-// [ReplaySequential] reproduces the recording on one simulated CPU;
-// [ReplayParallel] replays all epochs concurrently from the retained
-// checkpoints on real host goroutines.
+// [Replay] reproduces the recording: with no checkpoints, epoch by epoch
+// on one simulated CPU; with the retained checkpoints
+// (RecordResult.Boundaries), all epochs concurrently on real host
+// goroutines; with a thinned set, segments of consecutive epochs
+// concurrently.
 //
 // # Quickstart
 //
@@ -33,7 +35,7 @@
 //	res, err := doubleplay.Record(prog, doubleplay.NewWorld(1), doubleplay.RecordOptions{
 //		Workers: 2, SpareCPUs: 2,
 //	})
-//	rep, err := doubleplay.ReplaySequential(prog, res.Recording)
+//	rep, err := doubleplay.Replay(context.Background(), prog, res.Recording, doubleplay.ReplayOptions{})
 //
 // The builtin benchmark suite mirroring the paper's evaluation is exposed
 // through [Workloads] and [BuildWorkload].
@@ -92,6 +94,9 @@ type NativeResult = core.NativeResult
 // ReplayResult reports a completed replay.
 type ReplayResult = replay.Result
 
+// ReplayOptions configure [Replay]; see replay.Options for field docs.
+type ReplayOptions = replay.Options
+
 // Boundary is an epoch-start checkpoint retained for parallel replay.
 type Boundary = epoch.Boundary
 
@@ -100,8 +105,8 @@ type Boundary = epoch.Boundary
 type CostModel = vm.CostModel
 
 // TraceSink collects timeline events from recordings and replays; set
-// RecordOptions.Trace (or use [ReplaySequentialTraced]) and export with
-// its WriteJSON method. Events use the Chrome trace_event format,
+// RecordOptions.Trace or ReplayOptions.Sink and export with its
+// WriteJSON method. Events use the Chrome trace_event format,
 // viewable at https://ui.perfetto.dev; see docs/OBSERVABILITY.md for the
 // event schema. A nil *TraceSink is valid everywhere and disables tracing
 // at zero cost.
@@ -126,10 +131,9 @@ func NewStreamSink(w io.Writer, window int) *StreamSink { return trace.NewStream
 
 // GuestProfile is the deterministic guest cycle profile: retired cycles
 // attributed to guest call stacks, gathered while recording
-// (RecordOptions.Profile) or while replaying ([ReplaySequentialProfiled],
-// [ReplayParallelProfiled]). For the same recording the two are
-// byte-identical — production profiles can be regenerated offline,
-// exactly, from the log. Export with WritePprof (pprof profile.proto) or
+// (RecordOptions.Profile) or while replaying (ReplayOptions.Profile).
+// For the same recording the two are byte-identical — production
+// profiles can be regenerated offline, exactly, from the log. Export with WritePprof (pprof profile.proto) or
 // WriteFolded (flamegraph input); render with `dptrace flame`. See
 // docs/OBSERVABILITY.md.
 type GuestProfile = profile.Profile
@@ -140,20 +144,6 @@ func NewGuestProfile() *GuestProfile { return profile.NewProfile("") }
 // ParseGuestProfile decodes a pprof-encoded guest profile (the bytes
 // WritePprof produced, or any spec-conforming profile.proto message).
 func ParseGuestProfile(data []byte) (*GuestProfile, error) { return profile.ParsePprof(data) }
-
-// ReplaySequentialProfiled is ReplaySequential gathering the guest profile
-// of the replayed execution into prof (nil disables profiling).
-func ReplaySequentialProfiled(prog *Program, rec *Recording, prof *GuestProfile) (*ReplayResult, error) {
-	return replay.SequentialProfiled(nil, prog, rec, nil, nil, prof)
-}
-
-// ReplayParallelProfiled is ReplayParallel gathering the guest profile of
-// the replayed execution into prof (nil disables profiling). The profile
-// is byte-identical to the sequential strategy's regardless of how the
-// epochs interleave across workers.
-func ReplayParallelProfiled(prog *Program, rec *Recording, boundaries []*Boundary, cpus int, prof *GuestProfile) (*ReplayResult, error) {
-	return replay.ParallelProfiled(nil, prog, rec, boundaries, cpus, nil, nil, prof)
-}
 
 // MetricsRegistry aggregates counters, gauges, and latency histograms
 // across recordings; set RecordOptions.Metrics and print with Render.
@@ -193,36 +183,14 @@ func RunNative(prog *Program, world *World, cpus int, seed int64) (*NativeResult
 	return core.RunNative(prog, world, cpus, seed, nil)
 }
 
-// ReplaySequential reproduces a recording epoch by epoch on one simulated
-// CPU, verifying every boundary hash.
-func ReplaySequential(prog *Program, rec *Recording) (*ReplayResult, error) {
-	return replay.Sequential(prog, rec, nil, nil)
-}
-
-// ReplayParallel replays all epochs concurrently from the retained
-// checkpoints across cpus host workers.
-func ReplayParallel(prog *Program, rec *Recording, boundaries []*Boundary, cpus int) (*ReplayResult, error) {
-	return replay.Parallel(prog, rec, boundaries, cpus, nil, nil)
-}
-
-// ReplayParallelSparse replays segments of consecutive epochs concurrently
-// from a thinned checkpoint set (see RecordResult.ThinBoundaries), trading
-// replay parallelism for checkpoint memory.
-func ReplayParallelSparse(prog *Program, rec *Recording, sparse []*Boundary, cpus int) (*ReplayResult, error) {
-	return replay.ParallelSparse(prog, rec, sparse, cpus, nil, nil)
-}
-
-// ReplaySequentialTraced is ReplaySequential with a timeline sink: the
-// replay's epochs and timeslices are appended to sink as "replay.epoch"
-// spans. A nil sink makes it identical to ReplaySequential.
-func ReplaySequentialTraced(prog *Program, rec *Recording, sink TraceRecorder) (*ReplayResult, error) {
-	return replay.Sequential(prog, rec, nil, sink)
-}
-
-// ReplayParallelTraced is ReplayParallel with a timeline sink: each epoch
-// appears at its packed position on a per-core track.
-func ReplayParallelTraced(prog *Program, rec *Recording, boundaries []*Boundary, cpus int, sink TraceRecorder) (*ReplayResult, error) {
-	return replay.Parallel(prog, rec, boundaries, cpus, nil, sink)
+// Replay reproduces a recording and verifies every epoch boundary hash
+// and the final hash. opt.Boundaries selects the checkpoints replay
+// starts from: none for sequential replay, RecordResult.Boundaries for
+// epoch-parallel replay, or a thinned set ([ThinCheckpoints]) for
+// sparse replay; opt.CPUs host workers run the segments concurrently.
+// A nil ctx never cancels.
+func Replay(ctx context.Context, prog *Program, rec *Recording, opt ReplayOptions) (*ReplayResult, error) {
+	return replay.Run(ctx, prog, replay.FromRecording(rec), opt)
 }
 
 // SaveRecording writes a recording in the binary log format.
@@ -368,10 +336,10 @@ func RecordContext(ctx context.Context, prog *Program, world *World, opt RecordO
 // RecordingCheckpoints rebuilds the epoch-start checkpoints of a stored
 // recording by replaying it once sequentially — recordings persist only
 // the logs, and parallel replay needs a starting state per epoch. The
-// returned boundaries feed [ReplayParallel] or, thinned with
-// [ThinCheckpoints], [ReplayParallelSparse].
+// returned boundaries feed ReplayOptions.Boundaries, as they are or
+// thinned with [ThinCheckpoints].
 func RecordingCheckpoints(ctx context.Context, prog *Program, rec *Recording) ([]*Boundary, error) {
-	return replay.Checkpoints(ctx, prog, rec, nil)
+	return replay.CheckpointsFrom(ctx, prog, replay.FromRecording(rec), nil)
 }
 
 // ThinCheckpoints keeps every stride-th boundary (always including the

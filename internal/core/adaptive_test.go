@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -146,7 +147,7 @@ func TestAdaptivePinnedMatchesFixed(t *testing.T) {
 		if fixed.FinalHash != pinned.FinalHash || fixed.OutputHash != pinned.OutputHash {
 			t.Errorf("%s: pinned adaptive hashes differ from fixed", name)
 		}
-		rep, err := replay.Sequential(bt.Prog, pinned.Recording, nil, nil)
+		rep, err := replay.Run(context.Background(), bt.Prog, replay.FromRecording(pinned.Recording), replay.Options{})
 		if err != nil {
 			t.Fatalf("%s: pinned adaptive replay: %v", name, err)
 		}
@@ -214,7 +215,7 @@ func TestAdaptiveRecordingReplaysBitIdentically(t *testing.T) {
 	}
 	for _, tc := range cases {
 		res, bt := adaptiveRecord(t, tc.name, tc.workers, 1, 1, tc.workers, nil)
-		rep, err := replay.Sequential(bt.Prog, res.Recording, nil, nil)
+		rep, err := replay.Run(context.Background(), bt.Prog, replay.FromRecording(res.Recording), replay.Options{})
 		if err != nil {
 			t.Errorf("%s/%d: adaptive recording failed to replay: %v", tc.name, tc.workers, err)
 			continue

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"testing"
 
@@ -78,7 +79,7 @@ func TestCertifiedRecordSkipsVerification(t *testing.T) {
 	if cert.FinalHash != always.FinalHash || cert.OutputHash != always.OutputHash {
 		t.Fatal("certified recording describes a different execution")
 	}
-	seq, err := replay.Sequential(prog, cert.Recording, nil, nil)
+	seq, err := replay.Run(context.Background(), prog, replay.FromRecording(cert.Recording), replay.Options{})
 	if err != nil {
 		t.Fatalf("Sequential replay of certified recording: %v", err)
 	}
@@ -160,7 +161,7 @@ func TestCertViolationIsFatal(t *testing.T) {
 		t.Skip("program not certified; nothing to corrupt")
 	}
 	res.Recording.Epochs[0].EndHash ^= 0xdead
-	_, err := replay.Sequential(prog, res.Recording, nil, nil)
+	_, err := replay.Run(context.Background(), prog, replay.FromRecording(res.Recording), replay.Options{})
 	if !errors.Is(err, replay.ErrCertViolated) {
 		t.Fatalf("err = %v, want ErrCertViolated", err)
 	}

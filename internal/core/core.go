@@ -30,6 +30,7 @@ import (
 	"doubleplay/internal/epoch"
 	"doubleplay/internal/profile"
 	"doubleplay/internal/race"
+	"doubleplay/internal/replay"
 	"doubleplay/internal/sched"
 	"doubleplay/internal/simos"
 	"doubleplay/internal/trace"
@@ -277,19 +278,10 @@ func (r *Result) ReleaseCheckpoints() {
 }
 
 // ThinBoundaries returns every stride-th boundary (always including the
-// first and last), for memory-bounded segment-parallel replay via
-// replay.ParallelSparse. The returned boundaries keep their epoch indices.
+// first and last), for memory-bounded sparse replay (replay.Options
+// Boundaries). The returned boundaries keep their epoch indices.
 func (r *Result) ThinBoundaries(stride int) []*epoch.Boundary {
-	if stride <= 1 {
-		return r.Boundaries
-	}
-	var out []*epoch.Boundary
-	for i, b := range r.Boundaries {
-		if i%stride == 0 || i == len(r.Boundaries)-1 {
-			out = append(out, b)
-		}
-	}
-	return out
+	return replay.Thin(r.Boundaries, stride)
 }
 
 // recordOS wraps the simulated OS and appends every retired syscall to the

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -96,7 +97,7 @@ func TestRecordProducesChainedEpochs(t *testing.T) {
 func TestUtilizedModeRecordsAndReplays(t *testing.T) {
 	prog, ok := mixedProg(2, 150)
 	res := recordAndCheck(t, prog, ok, Options{Workers: 2, SpareCPUs: 0, EpochCycles: 4000, Seed: 5})
-	if _, err := replay.Sequential(prog, res.Recording, nil, nil); err != nil {
+	if _, err := replay.Run(context.Background(), prog, replay.FromRecording(res.Recording), replay.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	// Utilized completion must include displaced epoch work.
@@ -119,7 +120,7 @@ func TestDisableSyncEnforcementCausesDivergences(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		div += res.Stats.Divergences
-		if _, err := replay.Sequential(prog, res.Recording, nil, nil); err != nil {
+		if _, err := replay.Run(context.Background(), prog, replay.FromRecording(res.Recording), replay.Options{}); err != nil {
 			t.Fatalf("seed %d: replay: %v", seed, err)
 		}
 	}
@@ -180,7 +181,7 @@ func TestQuickRecordReplayRandomPrograms(t *testing.T) {
 			t.Log("self-check failed")
 			return false
 		}
-		if _, err := replay.Sequential(prog, res.Recording, nil, nil); err != nil {
+		if _, err := replay.Run(context.Background(), prog, replay.FromRecording(res.Recording), replay.Options{}); err != nil {
 			t.Logf("seq replay: %v", err)
 			return false
 		}

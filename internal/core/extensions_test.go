@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"doubleplay/internal/replay"
@@ -84,7 +85,7 @@ func TestThinBoundariesAndSparseReplay(t *testing.T) {
 		if stride > 1 && len(sparse) >= full {
 			t.Fatalf("stride %d did not thin (%d of %d)", stride, len(sparse), full)
 		}
-		rep, err := replay.ParallelSparse(bt.Prog, res.Recording, sparse, 4, nil, nil)
+		rep, err := replay.Run(context.Background(), bt.Prog, replay.FromRecording(res.Recording), replay.Options{Boundaries: sparse, CPUs: 4})
 		if err != nil {
 			t.Fatalf("stride %d: %v", stride, err)
 		}
@@ -93,8 +94,8 @@ func TestThinBoundariesAndSparseReplay(t *testing.T) {
 		}
 	}
 	// Coarser thinning means longer (less parallel) modelled replay.
-	fine, _ := replay.ParallelSparse(bt.Prog, res.Recording, res.ThinBoundaries(1), 4, nil, nil)
-	coarse, _ := replay.ParallelSparse(bt.Prog, res.Recording, res.ThinBoundaries(full), 4, nil, nil)
+	fine, _ := replay.Run(context.Background(), bt.Prog, replay.FromRecording(res.Recording), replay.Options{Boundaries: res.ThinBoundaries(1), CPUs: 4})
+	coarse, _ := replay.Run(context.Background(), bt.Prog, replay.FromRecording(res.Recording), replay.Options{Boundaries: res.ThinBoundaries(full), CPUs: 4})
 	if coarse.Cycles < fine.Cycles {
 		t.Fatalf("single-segment replay (%d) faster than fully parallel (%d)", coarse.Cycles, fine.Cycles)
 	}
@@ -108,12 +109,20 @@ func TestSparseReplayRejectsBadBoundarySets(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Missing epoch 0.
-	if _, err := replay.ParallelSparse(bt.Prog, res.Recording, res.Boundaries[1:], 2, nil, nil); err == nil {
+	if _, err := replay.Run(context.Background(), bt.Prog, replay.FromRecording(res.Recording), replay.Options{Boundaries: res.Boundaries[1:], CPUs: 2}); err == nil {
 		t.Fatal("sparse set without epoch 0 accepted")
 	}
-	// Empty set.
-	if _, err := replay.ParallelSparse(bt.Prog, res.Recording, nil, 2, nil, nil); err == nil {
-		t.Fatal("empty sparse set accepted")
+	// No boundaries means one segment from program reset: sequential replay.
+	seq, err := replay.Run(context.Background(), bt.Prog, replay.FromRecording(res.Recording), replay.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	none, err := replay.Run(context.Background(), bt.Prog, replay.FromRecording(res.Recording), replay.Options{Boundaries: nil, CPUs: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *none != *seq {
+		t.Fatalf("nil boundary set replayed as %+v, sequential replay is %+v", *none, *seq)
 	}
 }
 
@@ -139,7 +148,7 @@ func TestAdaptiveEpochGrowth(t *testing.T) {
 			grown.Stats.Epochs, fixed.Stats.Epochs)
 	}
 	// The recording must still replay and self-check.
-	if _, err := replay.Sequential(bt.Prog, grown.Recording, nil, nil); err != nil {
+	if _, err := replay.Run(context.Background(), bt.Prog, replay.FromRecording(grown.Recording), replay.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	last := grown.Boundaries[len(grown.Boundaries)-1]
@@ -169,7 +178,7 @@ func TestAdaptiveGrowthResetsOnDivergence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := replay.Sequential(prog, res.Recording, nil, nil); err != nil {
+	if _, err := replay.Run(context.Background(), prog, replay.FromRecording(res.Recording), replay.Options{}); err != nil {
 		t.Fatalf("replay after %d divergences: %v", res.Stats.Divergences, err)
 	}
 }
@@ -215,7 +224,7 @@ func TestReleaseCheckpoints(t *testing.T) {
 		t.Fatal("boundaries not cleared")
 	}
 	// Sequential replay needs no checkpoints and must still work.
-	if _, err := replay.Sequential(prog, res.Recording, nil, nil); err != nil {
+	if _, err := replay.Run(context.Background(), prog, replay.FromRecording(res.Recording), replay.Options{}); err != nil {
 		t.Fatal(err)
 	}
 }

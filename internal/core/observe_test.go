@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"doubleplay/internal/replay"
@@ -210,7 +211,7 @@ func TestReplayTraceMatchesEpochs(t *testing.T) {
 	bt := wl.Build(workloads.Params{Workers: g.workers, Scale: 1, Seed: 11})
 
 	sink := trace.NewSink()
-	rep, err := replay.Sequential(bt.Prog, res.Recording, nil, sink)
+	rep, err := replay.Run(context.Background(), bt.Prog, replay.FromRecording(res.Recording), replay.Options{Sink: sink})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"doubleplay/internal/asm"
@@ -180,7 +181,7 @@ func TestRecordReplayLockedCounter(t *testing.T) {
 		t.Fatal("no epochs recorded")
 	}
 
-	seq, err := replay.Sequential(prog, res.Recording, nil, nil)
+	seq, err := replay.Run(context.Background(), prog, replay.FromRecording(res.Recording), replay.Options{})
 	if err != nil {
 		t.Fatalf("Sequential replay: %v", err)
 	}
@@ -203,7 +204,7 @@ func TestRecordReplayMixed(t *testing.T) {
 	if res.Stats.Syscalls == 0 {
 		t.Fatal("expected recorded syscalls")
 	}
-	if _, err := replay.Sequential(prog, res.Recording, nil, nil); err != nil {
+	if _, err := replay.Run(context.Background(), prog, replay.FromRecording(res.Recording), replay.Options{}); err != nil {
 		t.Fatalf("Sequential replay: %v", err)
 	}
 }
@@ -222,7 +223,7 @@ func TestRacyProgramRecoversAndReplays(t *testing.T) {
 			diverged = true
 		}
 		// Regardless of divergences, the log must replay exactly.
-		if _, err := replay.Sequential(prog, res.Recording, nil, nil); err != nil {
+		if _, err := replay.Run(context.Background(), prog, replay.FromRecording(res.Recording), replay.Options{}); err != nil {
 			t.Fatalf("seed %d: Sequential replay after %d divergences: %v",
 				seed, res.Stats.Divergences, err)
 		}

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 
@@ -261,11 +262,11 @@ func ReplaySpeed(cfg Config, workers int) []ReplayRow {
 	for _, name := range cfg.evalSet() {
 		nat := native(name, workers, cfg)
 		res, bt := record(name, workers, workers, cfg)
-		seq, err := replay.Sequential(bt.Prog, res.Recording, cfg.Costs, cfg.Trace)
+		seq, err := replay.Run(context.TODO(), bt.Prog, replay.FromRecording(res.Recording), replay.Options{Costs: cfg.Costs, Sink: cfg.Trace})
 		if err != nil {
 			panic(fmt.Sprintf("exp: seq replay %s: %v", name, err))
 		}
-		par, err := replay.Parallel(bt.Prog, res.Recording, res.Boundaries, workers, cfg.Costs, cfg.Trace)
+		par, err := replay.Run(context.TODO(), bt.Prog, replay.FromRecording(res.Recording), replay.Options{Boundaries: res.Boundaries, CPUs: workers, Costs: cfg.Costs, Sink: cfg.Trace})
 		if err != nil {
 			panic(fmt.Sprintf("exp: par replay %s: %v", name, err))
 		}
@@ -382,7 +383,7 @@ func Divergence(cfg Config, seeds int) []DivergenceRow {
 			row.HashRecoveries += res.Stats.HashRecoveries
 			row.RerunRecoveries += res.Stats.RerunRecoveries
 			row.SquashedCyc += res.Stats.SquashedCycles
-			if _, err := replay.Sequential(bt.Prog, res.Recording, cfg.Costs, cfg.Trace); err == nil {
+			if _, err := replay.Run(context.TODO(), bt.Prog, replay.FromRecording(res.Recording), replay.Options{Costs: cfg.Costs, Sink: cfg.Trace}); err == nil {
 				row.ReplaysOK++
 			}
 		}
@@ -705,7 +706,7 @@ func SparseReplay(cfg Config) []SparseReplayRow {
 		res, bt := record(name, workers, workers, cfg)
 		for _, stride := range []int{1, 2, 4, 8, 1 << 20} {
 			sparse := res.ThinBoundaries(stride)
-			rep, err := replay.ParallelSparse(bt.Prog, res.Recording, sparse, workers, cfg.Costs, cfg.Trace)
+			rep, err := replay.Run(context.TODO(), bt.Prog, replay.FromRecording(res.Recording), replay.Options{Boundaries: sparse, CPUs: workers, Costs: cfg.Costs, Sink: cfg.Trace})
 			if err != nil {
 				panic(fmt.Sprintf("exp: sparse replay %s stride %d: %v", name, stride, err))
 			}
@@ -794,7 +795,7 @@ func VerifySkip(cfg Config, workers, spares int) []VerifySkipRow {
 			panic(fmt.Sprintf("exp: %s is marked racy but skipped verification — soundness bug", name))
 		}
 		if st.VerifySkipped > 0 {
-			seq, err := replay.Sequential(cbt.Prog, cert.Recording, nil, nil)
+			seq, err := replay.Run(context.TODO(), cbt.Prog, replay.FromRecording(cert.Recording), replay.Options{})
 			if err != nil {
 				panic(fmt.Sprintf("exp: replaying certified %s: %v", name, err))
 			}

@@ -1,6 +1,7 @@
 package replay_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -103,7 +104,7 @@ func TestQuickMutatedLogsNeverReplayWrong(t *testing.T) {
 		if !ok {
 			return true // nothing mutated; vacuous
 		}
-		rep, err := replay.Sequential(b.prog.prog.Prog, rec, nil, nil)
+		rep, err := replay.Run(context.Background(), b.prog.prog.Prog, replay.FromRecording(rec), replay.Options{})
 		if err != nil {
 			return true // corruption detected: the desired common case
 		}

@@ -2,6 +2,7 @@ package replay_test
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"doubleplay/internal/core"
@@ -45,7 +46,7 @@ func TestGuestProfileRecordReplayIdentity(t *testing.T) {
 					t.Fatal("record profile is empty")
 				}
 				repProf := profile.NewProfile("")
-				if _, err := replay.SequentialProfiled(nil, prog, res.Recording, nil, nil, repProf); err != nil {
+				if _, err := replay.Run(context.Background(), prog, replay.FromRecording(res.Recording), replay.Options{Profile: repProf}); err != nil {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(recProf.MarshalPprof(), repProf.MarshalPprof()) {
@@ -74,23 +75,23 @@ func TestGuestProfileStrategyIndependence(t *testing.T) {
 		run  func(p *profile.Profile) error
 	}{
 		{"sequential", func(p *profile.Profile) error {
-			_, err := replay.SequentialProfiled(nil, prog, res.Recording, nil, nil, p)
+			_, err := replay.Run(context.Background(), prog, replay.FromRecording(res.Recording), replay.Options{Profile: p})
 			return err
 		}},
 		{"parallel", func(p *profile.Profile) error {
-			_, err := replay.ParallelProfiled(nil, prog, res.Recording, res.Boundaries, 4, nil, nil, p)
+			_, err := replay.Run(context.Background(), prog, replay.FromRecording(res.Recording), replay.Options{Boundaries: res.Boundaries, CPUs: 4, Profile: p})
 			return err
 		}},
 		{"sparse", func(p *profile.Profile) error {
-			_, err := replay.ParallelSparseProfiled(nil, prog, res.Recording, res.ThinBoundaries(2), 4, nil, nil, p)
+			_, err := replay.Run(context.Background(), prog, replay.FromRecording(res.Recording), replay.Options{Boundaries: res.ThinBoundaries(2), CPUs: 4, Profile: p})
 			return err
 		}},
 		{"reader-sequential", func(p *profile.Profile) error {
-			_, err := replay.SequentialReaderProfiled(nil, prog, rd, nil, nil, p)
+			_, err := replay.Run(context.Background(), prog, replay.FromReader(rd), replay.Options{Profile: p})
 			return err
 		}},
 		{"reader-sparse", func(p *profile.Profile) error {
-			_, err := replay.ParallelSparseReaderProfiled(nil, prog, rd, res.ThinBoundaries(2), 4, nil, nil, p)
+			_, err := replay.Run(context.Background(), prog, replay.FromReader(rd), replay.Options{Boundaries: res.ThinBoundaries(2), CPUs: 4, Profile: p})
 			return err
 		}},
 	}
@@ -121,7 +122,7 @@ func TestGuestProfileCertifiedRecording(t *testing.T) {
 			t.Fatal(err)
 		}
 		repProf := profile.NewProfile("")
-		if _, err := replay.SequentialProfiled(nil, bt.Prog, res.Recording, nil, nil, repProf); err != nil {
+		if _, err := replay.Run(context.Background(), bt.Prog, replay.FromRecording(res.Recording), replay.Options{Profile: repProf}); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(recProf.MarshalPprof(), repProf.MarshalPprof()) {
@@ -135,7 +136,7 @@ func TestGuestProfileCertifiedRecording(t *testing.T) {
 func TestGuestProfileTotalsMatchReplay(t *testing.T) {
 	prog, res, recProf := recordWorkloadProfiled(t, "fft", 2)
 	repProf := profile.NewProfile("")
-	if _, err := replay.SequentialProfiled(nil, prog, res.Recording, nil, nil, repProf); err != nil {
+	if _, err := replay.Run(context.Background(), prog, replay.FromRecording(res.Recording), replay.Options{Profile: repProf}); err != nil {
 		t.Fatal(err)
 	}
 	if recProf.TotalCycles() != repProf.TotalCycles() {

@@ -1,29 +1,20 @@
-// Reader-based replay: the same strategies as replay.go, but fed by a
-// seekable dplog.Reader instead of a fully decoded recording. Each epoch's
-// section is decoded on demand, which is what the sectioned v6 log format
-// exists for — a segment-parallel replay decodes its own sections
-// concurrently, and a single-epoch replay touches exactly one section.
+// Replay sources: a fully decoded recording, or a seekable dplog.Reader
+// whose epoch sections are decoded on demand. The sectioned v6 log format
+// exists for the latter — each replay segment decodes only its own
+// sections, concurrently with the other segments, and a single-epoch
+// replay touches exactly one section.
 
 package replay
 
-import (
-	"context"
-	"fmt"
+import "doubleplay/internal/dplog"
 
-	"doubleplay/internal/dplog"
-	"doubleplay/internal/epoch"
-	"doubleplay/internal/profile"
-	"doubleplay/internal/trace"
-	"doubleplay/internal/vm"
-)
-
-// Source abstracts where a replay strategy reads its per-epoch logs
-// from: a decoded *dplog.Recording (free access) or a *dplog.Reader
-// (per-section decode on demand). Epochs are addressed by position in
-// recording order; for a full log, position and epoch id coincide.
-// Every strategy in this package — and the debug session built on top of
-// it — runs against this one interface, so "which bytes back the log"
-// can never change what a replay computes.
+// Source abstracts where a replay reads its per-epoch logs from: a
+// decoded *dplog.Recording (free access) or a *dplog.Reader (per-section
+// decode on demand). Epochs are addressed by position in recording
+// order; for a full log, position and epoch id coincide. Run,
+// CheckpointsFrom and the debug session built on them all read through
+// this one interface, so "which bytes back the log" can never change
+// what a replay computes.
 type Source interface {
 	NumEpochs() int
 	EpochAt(i int) (*dplog.EpochLog, error)
@@ -57,56 +48,3 @@ func (s readerSource) EpochAt(i int) (*dplog.EpochLog, error) { return s.rd.Epoc
 func (s readerSource) Program() string                        { return s.rd.Header().Program }
 func (s readerSource) Quantum() int64                         { return s.rd.Header().Quantum }
 func (s readerSource) FinalHash() uint64                      { return s.rd.Header().FinalHash }
-
-// SequentialReader is SequentialCtx reading epochs straight from a
-// seekable log: each section is decoded right before it is replayed, so
-// peak memory holds one epoch's log instead of the whole recording.
-func SequentialReader(ctx context.Context, prog *vm.Program, rd *dplog.Reader, costs *vm.CostModel, sink trace.Recorder) (*Result, error) {
-	return sequentialSrc(ctx, prog, readerSource{rd}, costs, sink, nil)
-}
-
-// SequentialReaderProfiled is SequentialReader with a guest profile (see
-// SequentialProfiled). A nil prof disables profiling.
-func SequentialReaderProfiled(ctx context.Context, prog *vm.Program, rd *dplog.Reader, costs *vm.CostModel, sink trace.Recorder, prof *profile.Profile) (*Result, error) {
-	return sequentialSrc(ctx, prog, readerSource{rd}, costs, sink, prof)
-}
-
-// CheckpointsReader is Checkpoints reading epochs straight from a
-// seekable log, decoding each section as its epoch is reached.
-func CheckpointsReader(ctx context.Context, prog *vm.Program, rd *dplog.Reader, costs *vm.CostModel) ([]*epoch.Boundary, error) {
-	return CheckpointsFrom(ctx, prog, readerSource{rd}, costs)
-}
-
-// ParallelSparseReader is ParallelSparseCtx reading epochs straight from
-// a seekable log: every segment decodes only its own sections, and the
-// segments do so concurrently instead of waiting for one sequential
-// decode of the entire file.
-func ParallelSparseReader(ctx context.Context, prog *vm.Program, rd *dplog.Reader, sparse []*epoch.Boundary, cpus int, costs *vm.CostModel, sink trace.Recorder) (*Result, error) {
-	return parallelSparseSrc(ctx, prog, readerSource{rd}, sparse, cpus, costs, sink, nil)
-}
-
-// ParallelSparseReaderProfiled is ParallelSparseReader with a guest
-// profile (see ParallelSparseProfiled). A nil prof disables profiling.
-func ParallelSparseReaderProfiled(ctx context.Context, prog *vm.Program, rd *dplog.Reader, sparse []*epoch.Boundary, cpus int, costs *vm.CostModel, sink trace.Recorder, prof *profile.Profile) (*Result, error) {
-	return parallelSparseSrc(ctx, prog, readerSource{rd}, sparse, cpus, costs, sink, prof)
-}
-
-// OneEpoch replays a single epoch from its start boundary and verifies
-// its recorded end hash. Combined with dplog.Reader.Seek (or the serve
-// API's epoch-range endpoint), this is O(epoch) work for O(epoch) data:
-// nothing before or after the requested epoch is decoded or executed.
-func OneEpoch(prog *vm.Program, b *epoch.Boundary, ep *dplog.EpochLog, quantum int64, costs *vm.CostModel) (*Result, error) {
-	if costs == nil {
-		costs = vm.DefaultCosts()
-	}
-	if b.Hash != ep.StartHash {
-		return nil, fmt.Errorf("replay: epoch %d: checkpoint hash %016x != recorded start %016x",
-			ep.Index, b.Hash, ep.StartHash)
-	}
-	m := b.CP.Restore(prog, nil, costs)
-	c, err := runEpoch(m, ep, costs, quantum, nil)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Cycles: c, FinalHash: m.StateHash(), Epochs: 1}, nil
-}

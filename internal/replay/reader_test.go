@@ -1,6 +1,7 @@
 package replay_test
 
 import (
+	"context"
 	"testing"
 
 	"doubleplay/internal/dplog"
@@ -16,11 +17,11 @@ func TestReaderReplayMatchesRecording(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := replay.Sequential(prog, res.Recording, nil, nil)
+	seq, err := replay.Run(context.Background(), prog, replay.FromRecording(res.Recording), replay.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaReader, err := replay.SequentialReader(nil, prog, rd, nil, nil)
+	viaReader, err := replay.SequentialReader(context.Background(), prog, rd, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,15 +29,15 @@ func TestReaderReplayMatchesRecording(t *testing.T) {
 		t.Fatalf("reader replay diverged: %+v vs %+v", viaReader, seq)
 	}
 
-	bounds, err := replay.CheckpointsReader(nil, prog, rd, nil)
+	bounds, err := replay.CheckpointsFrom(context.Background(), prog, replay.FromReader(rd), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(bounds) != len(res.Recording.Epochs)+1 {
-		t.Fatalf("CheckpointsReader returned %d boundaries for %d epochs", len(bounds), len(res.Recording.Epochs))
+		t.Fatalf("CheckpointsFrom returned %d boundaries for %d epochs", len(bounds), len(res.Recording.Epochs))
 	}
 	sparse := replay.Thin(bounds[:len(bounds)-1], 2)
-	par, err := replay.ParallelSparseReader(nil, prog, rd, sparse, 4, nil, nil)
+	par, err := replay.Run(context.Background(), prog, replay.FromReader(rd), replay.Options{Boundaries: sparse, CPUs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,15 +65,16 @@ func TestOneEpochReplaysSingleSection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	one, err := replay.OneEpoch(prog, res.Boundaries[n], ep, res.Recording.Quantum, nil)
-	if err != nil {
+	m := res.Boundaries[n].CP.Restore(prog, nil, nil)
+	if _, err := replay.RunOneEpoch(m, ep, res.Recording.Quantum, nil); err != nil {
 		t.Fatal(err)
 	}
-	if one.Epochs != 1 || one.FinalHash != ep.EndHash {
-		t.Fatalf("OneEpoch: %+v, want end hash %016x", one, ep.EndHash)
+	if h := m.StateHash(); h != ep.EndHash {
+		t.Fatalf("RunOneEpoch: end hash %016x, want %016x", h, ep.EndHash)
 	}
-	// A wrong boundary is rejected up front.
-	if _, err := replay.OneEpoch(prog, res.Boundaries[0], ep, res.Recording.Quantum, nil); err == nil {
-		t.Fatal("OneEpoch accepted a mismatched boundary")
+	// A wrong boundary is rejected.
+	m0 := res.Boundaries[0].CP.Restore(prog, nil, nil)
+	if _, err := replay.RunOneEpoch(m0, ep, res.Recording.Quantum, nil); err == nil {
+		t.Fatal("RunOneEpoch accepted a mismatched boundary")
 	}
 }

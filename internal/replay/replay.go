@@ -5,13 +5,16 @@
 // concurrently on real host cores (epoch-parallel replay), which is how
 // DoublePlay makes replay as scalable as recording.
 //
-// This package owns replay scheduling and verification: the sequential,
-// epoch-parallel, and sparse segment-parallel strategies, the greedy
-// makespan model that prices the parallel ones, and the boundary-hash
-// checks that prove a replay reproduced the recording. Each entry point
-// accepts an optional trace.Sink and narrates its timeline as
-// "replay.epoch"/"replay.segment" spans with nested per-timeslice detail
-// (see docs/OBSERVABILITY.md).
+// There is one replay procedure, [Run]: a uniprocessor replay of each
+// epoch, grouped into segments that each start from a state — program
+// reset or a retained checkpoint — and run their epochs in order.
+// Sequential, epoch-parallel and sparse replay differ only in the
+// checkpoints they start from (Options.Boundaries). The package also
+// owns the greedy makespan model that prices concurrent segments, and
+// the boundary-hash checks that prove a replay reproduced the
+// recording. A traced replay narrates each segment as a
+// "replay.segment" span with its "replay.epoch" spans and per-timeslice
+// detail nested inside (see docs/OBSERVABILITY.md).
 package replay
 
 import (
@@ -37,276 +40,119 @@ var ErrCertViolated = errors.New("replay: certified epoch violated its race-free
 
 // Result reports a completed replay.
 type Result struct {
-	// Cycles is the modelled completion time: total serialized cycles for
-	// sequential replay, pipeline makespan for parallel replay.
+	// Cycles is the modelled completion time: the makespan of packing the
+	// segments onto the modelled cores, which for a single segment is its
+	// total serialized cycles.
 	Cycles    int64
 	FinalHash uint64
 	Epochs    int
 }
 
-// epochCost returns the modelled duration of replaying one epoch.
-func epochCost(uniCycles int64, injected int, costs *vm.CostModel) int64 {
-	return uniCycles + int64(injected)*costs.InjectSysEvent
+// Options configure [Run].
+type Options struct {
+	// Boundaries are retained epoch-start checkpoints, ordered by
+	// Boundary.Index and starting at epoch 0; each starts a segment that
+	// runs up to the next boundary's epoch. Nil means one segment from
+	// program reset (sequential replay); one boundary per epoch is
+	// epoch-parallel replay; a set thinned with [Thin] is sparse replay.
+	// A trailing boundary at the end of the recording is ignored.
+	Boundaries []*epoch.Boundary
+	// CPUs is the number of modelled cores, and host workers, the
+	// segments are packed onto; below 1 means 1.
+	CPUs int
+	// Costs is the cost model; nil means vm.DefaultCosts.
+	Costs *vm.CostModel
+	// Sink, when enabled, receives the replay's timeline.
+	Sink trace.Recorder
+	// Profile, when non-nil, accumulates the guest profile of the
+	// replayed execution. Per-segment profiles merge over canonical stack
+	// keys, so it is byte-identical to the record-time profile whatever
+	// the segments are.
+	Profile *profile.Profile
 }
 
-// runEpoch replays one epoch on machine m (already positioned at the
-// epoch's start state) and verifies its end hash. When buf is non-nil the
-// uniprocessor scheduler traces each followed timeslice into it with
-// epoch-local timestamps. Certified epochs carry no timeslice schedule
-// and dispatch to the sync-order free run instead; quantum is the
-// recording's scheduling quantum for that path (zero = default).
-func runEpoch(m *vm.Machine, ep *dplog.EpochLog, costs *vm.CostModel, quantum int64, buf *trace.Sink) (int64, error) {
-	if ep.Certified {
-		return runCertifiedEpoch(m, ep, costs, quantum, buf)
-	}
-	inj := epoch.NewInjectOS(ep.Syscalls)
-	m.OS = inj
-	sigs := epoch.NewInjectSignals(ep.Signals)
-	m.Hooks.PendingSignal = sigs.Pending
-	uni := sched.NewUni(m)
-	uni.Follow = ep.Schedule
-	uni.Targets = ep.Targets
-	uni.Trace = buf
-	if err := uni.Run(); err != nil {
-		return 0, fmt.Errorf("replay: epoch %d: %w", ep.Index, err)
-	}
-	if r := inj.Remaining(); r != 0 {
-		return 0, fmt.Errorf("replay: epoch %d: %d recorded syscalls never issued", ep.Index, r)
-	}
-	if r := sigs.Remaining(); r != 0 {
-		return 0, fmt.Errorf("replay: epoch %d: %d recorded signals never delivered", ep.Index, r)
-	}
-	if h := m.StateHash(); h != ep.EndHash {
-		return 0, fmt.Errorf("replay: epoch %d: end state hash %016x != recorded %016x",
-			ep.Index, h, ep.EndHash)
-	}
-	return epochCost(uni.Cycles, inj.Injected, costs), nil
+// Run replays src. Every epoch's start hash, end hash and injection
+// counts are checked, and so is the recorded final hash. Segments run
+// concurrently on host goroutines — their machines share pages
+// copy-on-write — and a canceled ctx stops each of them at its next
+// epoch. A nil ctx never cancels.
+func Run(ctx context.Context, prog *vm.Program, src Source, opt Options) (*Result, error) {
+	return run(ctx, prog, src, opt, nil)
 }
 
-// runCertifiedEpoch replays a certified epoch: no timeslice schedule was
-// ever produced, so the threads free-run timesliced under the recorded
-// sync-order gate, exactly like the epoch-parallel logging run the
-// recorder skipped. The certificate asserts any sync-order-respecting
-// execution reaches the recorded end state, so every cross-check failure
-// wraps ErrCertViolated rather than reporting a divergence.
-func runCertifiedEpoch(m *vm.Machine, ep *dplog.EpochLog, costs *vm.CostModel, quantum int64, buf *trace.Sink) (int64, error) {
-	fail := func(format string, args ...any) error {
-		return fmt.Errorf("%w: epoch %d: %s", ErrCertViolated, ep.Index, fmt.Sprintf(format, args...))
-	}
-	inj := epoch.NewInjectOS(ep.Syscalls)
-	m.OS = inj
-	sigs := epoch.NewInjectSignals(ep.Signals)
-	m.Hooks.PendingSignal = sigs.Pending
-	gate := epoch.NewGate(ep.SyncOrder)
-	m.Hooks.MayAcquire = gate.MayAcquire
-	m.Hooks.OnSync = gate.OnSync
-	// Sequential and segment replay reuse the machine for the following
-	// epochs, which must not run against this epoch's gate.
-	defer func() {
-		m.Hooks.MayAcquire = nil
-		m.Hooks.OnSync = nil
-	}()
-	uni := sched.NewUni(m)
-	if quantum > 0 {
-		uni.Quantum = quantum
-	}
-	uni.Targets = ep.Targets
-	uni.Trace = buf
-	if err := uni.Run(); err != nil {
-		return 0, fail("%v", err)
-	}
-	if r := gate.Remaining(); r != 0 {
-		return 0, fail("%d recorded sync ops never performed", r)
-	}
-	if gateErr := gate.Err(); gateErr != "" {
-		return 0, fail("%s", gateErr)
-	}
-	if r := inj.Remaining(); r != 0 {
-		return 0, fail("%d recorded syscalls never issued", r)
-	}
-	if r := sigs.Remaining(); r != 0 {
-		return 0, fail("%d recorded signals never delivered", r)
-	}
-	if h := m.StateHash(); h != ep.EndHash {
-		return 0, fail("end state hash %016x != recorded %016x", h, ep.EndHash)
-	}
-	return epochCost(uni.Cycles, inj.Injected, costs) + int64(gate.Used())*costs.EnforceSyncEvent, nil
+// visitFunc observes a segment's machine before each of its epochs and
+// once at its end: index is the epoch about to start (the segment's end
+// index last), cycles the segment's cost so far, and hash the machine's
+// verified state hash.
+type visitFunc func(m *vm.Machine, index int, cycles int64, hash uint64)
+
+// segment is a run of consecutive epochs [lo, hi) replayed in order from
+// one starting state: a retained checkpoint, or program reset when start
+// is nil.
+type segment struct {
+	start  *epoch.Boundary
+	lo, hi int
 }
 
-// runEpochPhase is runEpoch under the dp.phase=replay pprof label, so host
-// CPU profiles of a replaying process attribute the work to the replay
-// phase (the label is free when no host profile is active).
-func runEpochPhase(ctx context.Context, m *vm.Machine, ep *dplog.EpochLog, costs *vm.CostModel, quantum int64, buf *trace.Sink) (c int64, err error) {
-	profile.WithPhase(ctx, "replay", func() { c, err = runEpoch(m, ep, costs, quantum, buf) })
-	return c, err
-}
-
-// ctxErr reports a context's error once it is done; a nil context never
-// cancels. Replay checks it at epoch boundaries, mirroring the recorder's
-// cancellation points (core.Options.Context).
-func ctxErr(ctx context.Context, epoch int) error {
-	if ctx == nil {
-		return nil
+// segments splits n epochs at the boundaries.
+func segments(n int, bs []*epoch.Boundary) ([]segment, error) {
+	if len(bs) == 0 || n == 0 {
+		return []segment{{hi: n}}, nil
 	}
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("replay: canceled at epoch %d: %w", epoch, err)
+	if bs[0].Index != 0 {
+		return nil, fmt.Errorf("replay: boundaries must start at epoch 0")
 	}
-	return nil
-}
-
-// Sequential replays the recording epoch by epoch on one simulated CPU,
-// starting from program reset. It verifies every epoch boundary hash and
-// the final hash. A non-nil sink receives one "replay.epoch" span per
-// epoch with the followed timeslices nested inside.
-func Sequential(prog *vm.Program, rec *dplog.Recording, costs *vm.CostModel, sink trace.Recorder) (*Result, error) {
-	return SequentialCtx(nil, prog, rec, costs, sink)
-}
-
-// SequentialCtx is Sequential with cooperative cancellation: the context
-// is checked before each epoch, so a canceled or deadline-expired context
-// ends the replay with the context's error wrapped. A nil context never
-// cancels.
-func SequentialCtx(ctx context.Context, prog *vm.Program, rec *dplog.Recording, costs *vm.CostModel, sink trace.Recorder) (*Result, error) {
-	return sequentialSrc(ctx, prog, recSource{rec}, costs, sink, nil)
-}
-
-// SequentialProfiled is SequentialCtx with a guest profile: every retired
-// instruction of the replayed execution is attributed into prof, which ends
-// up bit-identical to the profile the recorder gathered for the same log
-// (see internal/profile). A nil prof disables profiling.
-func SequentialProfiled(ctx context.Context, prog *vm.Program, rec *dplog.Recording, costs *vm.CostModel, sink trace.Recorder, prof *profile.Profile) (*Result, error) {
-	return sequentialSrc(ctx, prog, recSource{rec}, costs, sink, prof)
-}
-
-// sequentialSrc is the sequential strategy over any epoch source: a fully
-// decoded recording or a seekable log reader.
-func sequentialSrc(ctx context.Context, prog *vm.Program, src Source, costs *vm.CostModel, sink trace.Recorder, prof *profile.Profile) (*Result, error) {
-	if costs == nil {
-		costs = vm.DefaultCosts()
-	}
-	var pid int64
-	if trace.Enabled(sink) {
-		pid = sink.AllocPid("replay " + src.Program() + " (sequential)")
-		sink.NameThread(pid, 0, "epochs")
-	}
-	m := vm.NewMachine(prog, nil, costs)
-	var gp *profile.Profiler
-	if prof != nil {
-		gp = profile.New(prog)
-		gp.Attach(m)
-	}
-	res := &Result{}
-	for i, n := 0, src.NumEpochs(); i < n; i++ {
-		ep, err := src.EpochAt(i)
-		if err != nil {
-			return nil, err
+	var segs []segment
+	for k, b := range bs {
+		end := n
+		if k+1 < len(bs) {
+			end = bs[k+1].Index
 		}
-		if err := ctxErr(ctx, ep.Index); err != nil {
-			return nil, err
+		if b.Index > end || end > n {
+			return nil, fmt.Errorf("replay: boundary %d covers invalid range [%d,%d)", k, b.Index, end)
 		}
-		if h := m.StateHash(); h != ep.StartHash {
-			return nil, fmt.Errorf("replay: epoch %d: start state hash %016x != recorded %016x",
-				ep.Index, h, ep.StartHash)
+		if b.Index < end {
+			segs = append(segs, segment{start: b, lo: b.Index, hi: end})
 		}
-		var buf *trace.Sink
-		if trace.Enabled(sink) {
-			buf = trace.NewSink()
-		}
-		c, err := runEpochPhase(ctx, m, ep, costs, src.Quantum(), buf)
-		if err != nil {
-			return nil, err
-		}
-		if trace.Enabled(sink) {
-			sink.Span("replay.epoch", res.Cycles, c, pid, 0, map[string]any{
-				"epoch": ep.Index, "slices": len(ep.Schedule), "syscalls": len(ep.Syscalls),
-			})
-			sink.Splice(buf, res.Cycles, pid, 0)
-		}
-		res.Cycles += c
-		res.Epochs++
 	}
-	res.FinalHash = m.StateHash()
-	if want := src.FinalHash(); res.FinalHash != want {
-		return nil, fmt.Errorf("replay: final hash %016x != recorded %016x", res.FinalHash, want)
-	}
-	if gp != nil {
-		prof.Merge(gp.Snapshot())
-	}
-	return res, nil
+	return segs, nil
 }
 
-// Parallel replays every epoch concurrently from the retained epoch-start
-// checkpoints, using real host goroutines — the epochs are independent
-// machines sharing pages copy-on-write. The modelled wall time is the
-// makespan of packing epoch durations onto cpus cores. A non-nil sink
-// receives one "replay.epoch" span per epoch at its packed position, on a
-// track per modelled core.
-func Parallel(prog *vm.Program, rec *dplog.Recording, boundaries []*epoch.Boundary, cpus int, costs *vm.CostModel, sink trace.Recorder) (*Result, error) {
-	return ParallelCtx(nil, prog, rec, boundaries, cpus, costs, sink)
-}
-
-// ParallelCtx is Parallel with cooperative cancellation: each epoch's
-// worker checks the context before restoring its checkpoint, so a
-// canceled context stops the fan-out promptly. A nil context never
-// cancels.
-func ParallelCtx(ctx context.Context, prog *vm.Program, rec *dplog.Recording, boundaries []*epoch.Boundary, cpus int, costs *vm.CostModel, sink trace.Recorder) (*Result, error) {
-	return parallelCtx(ctx, prog, rec, boundaries, cpus, costs, sink, nil)
-}
-
-// ParallelProfiled is ParallelCtx with a guest profile: each epoch worker
-// profiles its own machine and the per-epoch profiles are merged into prof
-// after the fan-out completes. Merging is commutative over canonical stack
-// keys, so the result is byte-identical to the sequential strategy's
-// profile no matter how the epochs interleave. A nil prof disables
-// profiling.
-func ParallelProfiled(ctx context.Context, prog *vm.Program, rec *dplog.Recording, boundaries []*epoch.Boundary, cpus int, costs *vm.CostModel, sink trace.Recorder, prof *profile.Profile) (*Result, error) {
-	return parallelCtx(ctx, prog, rec, boundaries, cpus, costs, sink, prof)
-}
-
-func parallelCtx(ctx context.Context, prog *vm.Program, rec *dplog.Recording, boundaries []*epoch.Boundary, cpus int, costs *vm.CostModel, sink trace.Recorder, prof *profile.Profile) (*Result, error) {
-	if costs == nil {
-		costs = vm.DefaultCosts()
+// run is Run with an optional visitor (see visitFunc), which requires a
+// single segment because segments run concurrently.
+func run(ctx context.Context, prog *vm.Program, src Source, opt Options, visit visitFunc) (*Result, error) {
+	if opt.Costs == nil {
+		opt.Costs = vm.DefaultCosts()
 	}
-	if cpus < 1 {
-		cpus = 1
-	}
-	if len(boundaries) != len(rec.Epochs)+1 {
-		return nil, fmt.Errorf("replay: %d boundaries for %d epochs", len(boundaries), len(rec.Epochs))
+	cpus := max(opt.CPUs, 1)
+	n := src.NumEpochs()
+	segs, err := segments(n, opt.Boundaries)
+	if err != nil {
+		return nil, err
 	}
 
-	durs := make([]int64, len(rec.Epochs))
-	errs := make([]error, len(rec.Epochs))
-	bufs := make([]*trace.Sink, len(rec.Epochs))
-	profs := make([]*profile.Profile, len(rec.Epochs))
+	durs := make([]int64, len(segs))
+	ends := make([]uint64, len(segs))
+	errs := make([]error, len(segs))
+	bufs := make([]*trace.Sink, len(segs))
+	profs := make([]*profile.Profile, len(segs))
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, cpus)
-	for i, ep := range rec.Epochs {
-		if boundaries[i].Hash != ep.StartHash {
-			return nil, fmt.Errorf("replay: epoch %d: checkpoint hash %016x != recorded start %016x",
-				ep.Index, boundaries[i].Hash, ep.StartHash)
-		}
-		if trace.Enabled(sink) {
+	for i, sg := range segs {
+		if trace.Enabled(opt.Sink) {
 			bufs[i] = trace.NewSink()
 		}
 		wg.Add(1)
-		go func(i int, ep *dplog.EpochLog) {
+		go func(i int, sg segment) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			if errs[i] = ctxErr(ctx, ep.Index); errs[i] != nil {
-				return
-			}
-			m := boundaries[i].CP.Restore(prog, nil, costs)
-			var gp *profile.Profiler
-			if prof != nil {
-				gp = profile.New(prog)
-				gp.Attach(m)
-			}
-			durs[i], errs[i] = runEpochPhase(ctx, m, ep, costs, rec.Quantum, bufs[i])
-			if gp != nil && errs[i] == nil {
-				profs[i] = gp.Snapshot()
-			}
-		}(i, ep)
+			// The dp.phase label attributes host CPU profiles of a
+			// replaying process to the replay phase.
+			profile.WithPhase(ctx, "replay", func() {
+				durs[i], ends[i], profs[i], errs[i] = runSegment(ctx, prog, src, sg, opt, bufs[i], visit)
+			})
+		}(i, sg)
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -314,27 +160,93 @@ func parallelCtx(ctx context.Context, prog *vm.Program, rec *dplog.Recording, bo
 			return nil, err
 		}
 	}
-	if prof != nil {
+	final := ends[len(ends)-1]
+	if want := src.FinalHash(); final != want {
+		return nil, fmt.Errorf("replay: final hash %016x != recorded %016x", final, want)
+	}
+	if opt.Profile != nil {
 		for _, p := range profs {
-			prof.Merge(p)
+			opt.Profile.Merge(p)
 		}
 	}
 
 	slots, wall := pack(durs, cpus)
-	if trace.Enabled(sink) {
-		pid := sink.AllocPid("replay " + rec.Program + " (epoch-parallel)")
-		for c := 0; c < cpus; c++ {
-			sink.NameThread(pid, int64(c), fmt.Sprintf("core %d", c))
+	if trace.Enabled(opt.Sink) {
+		pid := opt.Sink.AllocPid(fmt.Sprintf("replay %s (%d segments)", src.Program(), len(segs)))
+		for c := 0; c < min(cpus, len(segs)); c++ {
+			opt.Sink.NameThread(pid, int64(c), fmt.Sprintf("core %d", c))
 		}
-		for i, ep := range rec.Epochs {
+		for i, sg := range segs {
 			s := slots[i]
-			sink.Span("replay.epoch", s.start, s.fin-s.start, pid, int64(s.core),
-				map[string]any{"epoch": ep.Index, "slices": len(ep.Schedule)})
-			sink.Splice(bufs[i], s.start, pid, int64(s.core))
+			opt.Sink.Span("replay.segment", s.start, s.fin-s.start, pid, int64(s.core),
+				map[string]any{"start_epoch": sg.lo, "epochs": sg.hi - sg.lo})
+			opt.Sink.Splice(bufs[i], s.start, pid, int64(s.core))
 		}
 	}
+	return &Result{Cycles: wall, FinalHash: final, Epochs: n}, nil
+}
 
-	return &Result{Cycles: wall, FinalHash: rec.FinalHash, Epochs: len(rec.Epochs)}, nil
+// runSegment replays one segment's epochs in order, checking each
+// epoch's start hash before it runs. It returns the segment's modelled
+// cost, its verified end state hash, and its guest profile when
+// opt.Profile asks for one. A non-nil buf receives the segment's
+// "replay.epoch" spans in segment-local time.
+func runSegment(ctx context.Context, prog *vm.Program, src Source, sg segment, opt Options, buf *trace.Sink, visit visitFunc) (int64, uint64, *profile.Profile, error) {
+	var m *vm.Machine
+	var h uint64
+	if sg.start == nil {
+		m = vm.NewMachine(prog, nil, opt.Costs)
+		h = m.StateHash()
+	} else {
+		m = sg.start.CP.Restore(prog, nil, opt.Costs)
+		h = sg.start.Hash
+	}
+	var gp *profile.Profiler
+	if opt.Profile != nil {
+		gp = profile.New(prog)
+		gp.Attach(m)
+	}
+	var cycles int64
+	for pos := sg.lo; pos < sg.hi; pos++ {
+		ep, err := src.EpochAt(pos)
+		if err != nil {
+			return 0, 0, nil, err
+		}
+		if err := ctxErr(ctx, ep.Index); err != nil {
+			return 0, 0, nil, err
+		}
+		if h != ep.StartHash {
+			return 0, 0, nil, fmt.Errorf("replay: epoch %d: start state hash %016x != recorded %016x",
+				ep.Index, h, ep.StartHash)
+		}
+		if visit != nil {
+			visit(m, ep.Index, cycles, h)
+		}
+		var epb *trace.Sink
+		if buf.Enabled() {
+			epb = trace.NewSink()
+		}
+		c, err := runEpoch(m, ep, opt.Costs, src.Quantum(), epb)
+		if err != nil {
+			return 0, 0, nil, err
+		}
+		if buf.Enabled() {
+			buf.Span("replay.epoch", cycles, c, 0, 0, map[string]any{
+				"epoch": ep.Index, "slices": len(ep.Schedule), "syscalls": len(ep.Syscalls),
+			})
+			buf.Splice(epb, cycles, 0, 0)
+		}
+		cycles += c
+		h = ep.EndHash // runEpoch verified the machine reached it
+	}
+	if visit != nil {
+		visit(m, sg.hi, cycles, h)
+	}
+	var p *profile.Profile
+	if gp != nil {
+		p = gp.Snapshot()
+	}
+	return cycles, h, p, nil
 }
 
 // packSlot is one duration's placement in the greedy packing.
@@ -365,238 +277,126 @@ func pack(durs []int64, cpus int) ([]packSlot, int64) {
 	return slots, wall
 }
 
-// ParallelSparse replays from a thinned set of retained checkpoints:
-// each retained boundary anchors a segment of consecutive epochs replayed
-// sequentially, and segments run concurrently. This trades replay
-// parallelism for checkpoint memory — with stride k, only 1/k of the
-// epoch-start checkpoints need to be kept.
-//
-// The sparse slice must be ordered by Boundary.Index, start at epoch 0, and
-// its boundaries must be epoch boundaries of rec (core.Result.ThinBoundaries
-// produces a valid set). A non-nil sink receives one "replay.segment" span
-// per segment at its packed position, with the segment's "replay.epoch"
-// spans and timeslices nested inside.
-func ParallelSparse(prog *vm.Program, rec *dplog.Recording, sparse []*epoch.Boundary, cpus int, costs *vm.CostModel, sink trace.Recorder) (*Result, error) {
-	return ParallelSparseCtx(nil, prog, rec, sparse, cpus, costs, sink)
+// epochRun is one epoch's replay on a machine: the epoch's syscall and
+// signal injectors (and, for a certified epoch, its sync-order gate)
+// wired into the machine, and the uniprocessor scheduler that runs it.
+// Both the batch replay and the Stepper drive it.
+type epochRun struct {
+	m     *vm.Machine
+	ep    *dplog.EpochLog
+	costs *vm.CostModel
+	uni   *sched.Uni
+	inj   *epoch.InjectOS
+	sigs  *epoch.InjectSignals
+	gate  *epoch.Gate // non-nil iff the epoch is certified
 }
 
-// ParallelSparseCtx is ParallelSparse with cooperative cancellation,
-// checked before each epoch within every segment. A nil context never
-// cancels.
-func ParallelSparseCtx(ctx context.Context, prog *vm.Program, rec *dplog.Recording, sparse []*epoch.Boundary, cpus int, costs *vm.CostModel, sink trace.Recorder) (*Result, error) {
-	return parallelSparseSrc(ctx, prog, recSource{rec}, sparse, cpus, costs, sink, nil)
+// newEpochRun prepares m, which must hold ep's start state, to replay
+// ep. A scheduled epoch follows its recorded timeslices. A certified
+// epoch carries no schedule: its threads free-run timesliced under the
+// recorded sync-order gate, exactly like the epoch-parallel logging run
+// the recorder skipped; quantum is the recording's scheduling quantum
+// for that case (zero = default). A non-nil buf receives the
+// timeslices with epoch-local timestamps.
+func newEpochRun(m *vm.Machine, ep *dplog.EpochLog, quantum int64, costs *vm.CostModel, buf *trace.Sink) epochRun {
+	r := epochRun{m: m, ep: ep, costs: costs, uni: sched.NewUni(m)}
+	r.inj = epoch.NewInjectOS(ep.Syscalls)
+	m.OS = r.inj
+	r.sigs = epoch.NewInjectSignals(ep.Signals)
+	m.Hooks.PendingSignal = r.sigs.Pending
+	r.uni.Targets = ep.Targets
+	r.uni.Trace = buf
+	if ep.Certified {
+		r.gate = epoch.NewGate(ep.SyncOrder)
+		m.Hooks.MayAcquire = r.gate.MayAcquire
+		m.Hooks.OnSync = r.gate.OnSync
+		if quantum > 0 {
+			r.uni.Quantum = quantum
+		}
+	} else {
+		// Follow mode even for an empty schedule: the targets must then
+		// already be met.
+		r.uni.Follow = ep.Schedule
+		if r.uni.Follow == nil {
+			r.uni.Follow = []dplog.Slice{}
+		}
+	}
+	return r
 }
 
-// ParallelSparseProfiled is ParallelSparseCtx with a guest profile: each
-// segment worker profiles its own machine and the per-segment profiles are
-// merged into prof after the fan-out completes. A nil prof disables
-// profiling.
-func ParallelSparseProfiled(ctx context.Context, prog *vm.Program, rec *dplog.Recording, sparse []*epoch.Boundary, cpus int, costs *vm.CostModel, sink trace.Recorder, prof *profile.Profile) (*Result, error) {
-	return parallelSparseSrc(ctx, prog, recSource{rec}, sparse, cpus, costs, sink, prof)
+// cost returns the modelled cost consumed so far: scheduler cycles plus
+// the per-injection and, for a certified epoch, per-gate-op surcharges.
+func (r *epochRun) cost() int64 {
+	c := r.uni.Cycles + int64(r.inj.Injected)*r.costs.InjectSysEvent
+	if r.gate != nil {
+		c += int64(r.gate.Used()) * r.costs.EnforceSyncEvent
+	}
+	return c
 }
 
-// parallelSparseSrc is the sparse segment-parallel strategy over any
-// epoch source. Segments fetch their epochs one at a time, so over a
-// seekable log reader each segment decodes only its own sections — and
-// does so concurrently with the other segments, instead of one up-front
-// sequential decode of the whole file.
-func parallelSparseSrc(ctx context.Context, prog *vm.Program, src Source, sparse []*epoch.Boundary, cpus int, costs *vm.CostModel, sink trace.Recorder, prof *profile.Profile) (*Result, error) {
-	if costs == nil {
-		costs = vm.DefaultCosts()
+// finish ends the run once the scheduler has completed or failed with
+// err. It detaches the gate, so the machine can run the next epoch, and
+// after a completed run makes the end-of-epoch cross-checks. The
+// certificate of a certified epoch asserts that any sync-order-respecting
+// execution reaches the recorded end state, so its failures wrap
+// ErrCertViolated rather than reporting a divergence.
+func (r *epochRun) finish(err error) error {
+	if r.gate != nil {
+		r.m.Hooks.MayAcquire = nil
+		r.m.Hooks.OnSync = nil
 	}
-	if cpus < 1 {
-		cpus = 1
+	if err == nil {
+		err = r.check()
 	}
-	if len(sparse) == 0 || sparse[0].Index != 0 {
-		return nil, fmt.Errorf("replay: sparse boundaries must start at epoch 0")
+	switch {
+	case err == nil:
+		return nil
+	case r.gate != nil:
+		return fmt.Errorf("%w: epoch %d: %v", ErrCertViolated, r.ep.Index, err)
+	default:
+		return fmt.Errorf("replay: epoch %d: %w", r.ep.Index, err)
 	}
-
-	n := src.NumEpochs()
-	// Segment k covers epochs [sparse[k].Index, end_k) where end_k is the
-	// next boundary's index (or the end of the recording).
-	type segment struct {
-		start  *epoch.Boundary
-		lo, hi int // epoch positions [lo, hi)
-	}
-	var segs []segment
-	for k, b := range sparse {
-		end := n
-		if k+1 < len(sparse) {
-			end = sparse[k+1].Index
-		}
-		if b.Index > end || end > n {
-			return nil, fmt.Errorf("replay: sparse boundary %d covers invalid range [%d,%d)", k, b.Index, end)
-		}
-		if b.Index == end {
-			continue // trailing boundary
-		}
-		first, err := src.EpochAt(b.Index)
-		if err != nil {
-			return nil, err
-		}
-		if b.Hash != first.StartHash {
-			return nil, fmt.Errorf("replay: boundary for epoch %d has hash %016x, recording says %016x",
-				b.Index, b.Hash, first.StartHash)
-		}
-		segs = append(segs, segment{start: b, lo: b.Index, hi: end})
-	}
-
-	durs := make([]int64, len(segs))
-	errs := make([]error, len(segs))
-	bufs := make([]*trace.Sink, len(segs))
-	profs := make([]*profile.Profile, len(segs))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, cpus)
-	for i, sg := range segs {
-		if trace.Enabled(sink) {
-			bufs[i] = trace.NewSink()
-		}
-		wg.Add(1)
-		go func(i int, sg segment) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			segbuf := bufs[i]
-			m := sg.start.CP.Restore(prog, nil, costs)
-			var gp *profile.Profiler
-			if prof != nil {
-				gp = profile.New(prog)
-				gp.Attach(m)
-			}
-			for pos := sg.lo; pos < sg.hi; pos++ {
-				ep, err := src.EpochAt(pos)
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				if errs[i] = ctxErr(ctx, ep.Index); errs[i] != nil {
-					return
-				}
-				if h := m.StateHash(); h != ep.StartHash {
-					errs[i] = fmt.Errorf("replay: epoch %d: segment state %016x != recorded start %016x",
-						ep.Index, h, ep.StartHash)
-					return
-				}
-				var epb *trace.Sink
-				if segbuf.Enabled() {
-					epb = trace.NewSink()
-				}
-				c, err := runEpochPhase(ctx, m, ep, costs, src.Quantum(), epb)
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				if segbuf.Enabled() {
-					segbuf.Span("replay.epoch", durs[i], c, 0, 0,
-						map[string]any{"epoch": ep.Index, "slices": len(ep.Schedule)})
-					segbuf.Splice(epb, durs[i], 0, 0)
-				}
-				durs[i] += c
-			}
-			if gp != nil {
-				profs[i] = gp.Snapshot()
-			}
-		}(i, sg)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	if prof != nil {
-		for _, p := range profs {
-			prof.Merge(p)
-		}
-	}
-
-	slots, wall := pack(durs, cpus)
-	if trace.Enabled(sink) {
-		pid := sink.AllocPid("replay " + src.Program() + " (sparse segments)")
-		for c := 0; c < cpus; c++ {
-			sink.NameThread(pid, int64(c), fmt.Sprintf("core %d", c))
-		}
-		for i, sg := range segs {
-			s := slots[i]
-			sink.Span("replay.segment", s.start, s.fin-s.start, pid, int64(s.core),
-				map[string]any{"start_epoch": sg.start.Index, "epochs": sg.hi - sg.lo})
-			sink.Splice(bufs[i], s.start, pid, int64(s.core))
-		}
-	}
-	return &Result{Cycles: wall, FinalHash: src.FinalHash(), Epochs: n}, nil
 }
 
-// Checkpoints reconstructs the epoch-start boundaries of a recording by
-// replaying it sequentially and capturing a machine checkpoint at each
-// epoch start. It returns len(rec.Epochs)+1 boundaries (one per epoch
-// start plus the final state), verifying every start hash along the way,
-// so the result is valid input for [Parallel] and — thinned with [Thin] —
-// [ParallelSparse].
-//
-// This is what lets a recording artifact loaded from disk be replayed in
-// parallel: the original recording process held the checkpoints in
-// memory, but a stored dplog carries only the logs, and one sequential
-// pass rebuilds the rest. The boundaries' World is nil — parallel replay
-// injects recorded syscall results and never consults a simulated OS.
-func Checkpoints(ctx context.Context, prog *vm.Program, rec *dplog.Recording, costs *vm.CostModel) ([]*epoch.Boundary, error) {
-	return CheckpointsFrom(ctx, prog, recSource{rec}, costs)
+// check verifies a completed epoch: every recorded sync op, syscall and
+// signal was consumed, and the machine reached the recorded end hash.
+func (r *epochRun) check() error {
+	if r.gate != nil {
+		if n := r.gate.Remaining(); n != 0 {
+			return fmt.Errorf("%d recorded sync ops never performed", n)
+		}
+		if e := r.gate.Err(); e != "" {
+			return errors.New(e)
+		}
+	}
+	if n := r.inj.Remaining(); n != 0 {
+		return fmt.Errorf("%d recorded syscalls never issued", n)
+	}
+	if n := r.sigs.Remaining(); n != 0 {
+		return fmt.Errorf("%d recorded signals never delivered", n)
+	}
+	if h := r.m.StateHash(); h != r.ep.EndHash {
+		return fmt.Errorf("end state hash %016x != recorded %016x", h, r.ep.EndHash)
+	}
+	return nil
 }
 
-// CheckpointsFrom is the boundary-reconstruction pass over any epoch
-// source — the single implementation behind Checkpoints and
-// CheckpointsReader, and the one the debug session uses to materialize
-// its seek targets.
-func CheckpointsFrom(ctx context.Context, prog *vm.Program, src Source, costs *vm.CostModel) ([]*epoch.Boundary, error) {
-	if costs == nil {
-		costs = vm.DefaultCosts()
+// runEpoch replays one epoch on m, which holds the epoch's start state,
+// verifies it, and returns its modelled cost.
+func runEpoch(m *vm.Machine, ep *dplog.EpochLog, costs *vm.CostModel, quantum int64, buf *trace.Sink) (int64, error) {
+	r := newEpochRun(m, ep, quantum, costs, buf)
+	if err := r.finish(r.uni.Run()); err != nil {
+		return 0, err
 	}
-	m := vm.NewMachine(prog, nil, costs)
-	n := src.NumEpochs()
-	out := make([]*epoch.Boundary, 0, n+1)
-	var cycles int64
-	for i := 0; i < n; i++ {
-		ep, err := src.EpochAt(i)
-		if err != nil {
-			return nil, err
-		}
-		if err := ctxErr(ctx, ep.Index); err != nil {
-			return nil, err
-		}
-		if h := m.StateHash(); h != ep.StartHash {
-			return nil, fmt.Errorf("replay: checkpoints: epoch %d start hash %016x != recorded %016x",
-				ep.Index, h, ep.StartHash)
-		}
-		out = append(out, &epoch.Boundary{
-			Index:       ep.Index,
-			Cycle:       cycles,
-			CP:          m.Checkpoint(),
-			Hash:        ep.StartHash,
-			MappedPages: m.Mem.PageCount(),
-		})
-		c, err := runEpoch(m, ep, costs, src.Quantum(), nil)
-		if err != nil {
-			return nil, err
-		}
-		cycles += c
-	}
-	if h, want := m.StateHash(), src.FinalHash(); h != want {
-		return nil, fmt.Errorf("replay: checkpoints: final hash %016x != recorded %016x", h, want)
-	}
-	out = append(out, &epoch.Boundary{
-		Index:       n,
-		Cycle:       cycles,
-		CP:          m.Checkpoint(),
-		Hash:        src.FinalHash(),
-		MappedPages: m.Mem.PageCount(),
-	})
-	return out, nil
+	return r.cost(), nil
 }
 
 // RunOneEpoch replays one epoch on m, which must hold the epoch's start
-// state, and verifies the recorded end hash. It is runEpoch exported for
-// the debug session's checkpoint materialization: restore a boundary,
-// run whole epochs at full speed, and only fall back to instruction
-// stepping (the Stepper) inside the epoch of interest.
+// state (for example a restored boundary checkpoint), verifies its
+// recorded end hash, and returns its modelled cost. Combined with
+// dplog.Reader.Seek this is O(epoch) work for O(epoch) data; the debug
+// session uses it to run whole epochs at full speed and only falls back
+// to instruction stepping (the Stepper) inside the epoch of interest.
 func RunOneEpoch(m *vm.Machine, ep *dplog.EpochLog, quantum int64, costs *vm.CostModel) (int64, error) {
 	if costs == nil {
 		costs = vm.DefaultCosts()
@@ -604,9 +404,63 @@ func RunOneEpoch(m *vm.Machine, ep *dplog.EpochLog, quantum int64, costs *vm.Cos
 	return runEpoch(m, ep, costs, quantum, nil)
 }
 
+// ctxErr reports a context's error once it is done; a nil context never
+// cancels. Replay checks it at epoch boundaries, mirroring the recorder's
+// cancellation points (core.Options.Context).
+func ctxErr(ctx context.Context, epoch int) error {
+	if ctx == nil {
+		return nil
+	}
+	if err := ctx.Err(); err != nil {
+		return fmt.Errorf("replay: canceled at epoch %d: %w", epoch, err)
+	}
+	return nil
+}
+
+// SequentialReader is Run from program reset over a seekable log: each
+// section is decoded right before it is replayed, so peak memory holds
+// one epoch's log instead of the whole recording.
+func SequentialReader(ctx context.Context, prog *vm.Program, rd *dplog.Reader, costs *vm.CostModel, sink trace.Recorder) (*Result, error) {
+	return Run(ctx, prog, FromReader(rd), Options{Costs: costs, Sink: sink})
+}
+
+// Parallel is epoch-parallel Run: boundaries must hold one checkpoint per
+// epoch plus the final state, as core.Result.Boundaries and
+// [CheckpointsFrom] produce.
+func Parallel(prog *vm.Program, rec *dplog.Recording, boundaries []*epoch.Boundary, cpus int, costs *vm.CostModel, sink trace.Recorder) (*Result, error) {
+	if len(boundaries) != len(rec.Epochs)+1 {
+		return nil, fmt.Errorf("replay: %d boundaries for %d epochs", len(boundaries), len(rec.Epochs))
+	}
+	return Run(context.TODO(), prog, FromRecording(rec), Options{Boundaries: boundaries, CPUs: cpus, Costs: costs, Sink: sink})
+}
+
+// CheckpointsFrom reconstructs the epoch-start boundaries of a recording
+// with one sequential replay that captures a machine checkpoint at each
+// epoch start. It returns NumEpochs()+1 boundaries (one per epoch start
+// plus the final state), so the result is valid Options.Boundaries for
+// epoch-parallel replay and, thinned with [Thin], sparse replay.
+//
+// This is what lets a recording artifact loaded from disk be replayed in
+// parallel: the original recording process held the checkpoints in
+// memory, but a stored dplog carries only the logs, and one sequential
+// pass rebuilds the rest. The boundaries' World is nil — replay injects
+// recorded syscall results and never consults a simulated OS.
+func CheckpointsFrom(ctx context.Context, prog *vm.Program, src Source, costs *vm.CostModel) ([]*epoch.Boundary, error) {
+	var out []*epoch.Boundary
+	_, err := run(ctx, prog, src, Options{Costs: costs}, func(m *vm.Machine, index int, cycles int64, hash uint64) {
+		out = append(out, &epoch.Boundary{
+			Index: index, Cycle: cycles, CP: m.Checkpoint(), Hash: hash, MappedPages: m.Mem.PageCount(),
+		})
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
 // Thin returns every stride-th boundary, always keeping the first and
 // last — the same thinning core.Result.ThinBoundaries applies to live
-// checkpoints, usable on the reconstructed set from [Checkpoints].
+// checkpoints, usable on the set [CheckpointsFrom] reconstructs.
 func Thin(bs []*epoch.Boundary, stride int) []*epoch.Boundary {
 	if stride <= 1 {
 		return bs

@@ -1,11 +1,13 @@
 package replay_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"doubleplay/internal/core"
 	"doubleplay/internal/dplog"
+	"doubleplay/internal/epoch"
 	"doubleplay/internal/replay"
 	"doubleplay/internal/simos"
 	"doubleplay/internal/vm"
@@ -31,7 +33,7 @@ func recordWorkload(t *testing.T, name string, workers int) (*vm.Program, *core.
 
 func TestSequentialVerifiesEveryBoundary(t *testing.T) {
 	prog, res := recordWorkload(t, "kvdb", 2)
-	rep, err := replay.Sequential(prog, res.Recording, nil, nil)
+	rep, err := replay.Run(context.Background(), prog, replay.FromRecording(res.Recording), replay.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +47,7 @@ func TestSequentialVerifiesEveryBoundary(t *testing.T) {
 
 func TestParallelMatchesSequential(t *testing.T) {
 	prog, res := recordWorkload(t, "radix", 4)
-	seq, err := replay.Sequential(prog, res.Recording, nil, nil)
+	seq, err := replay.Run(context.Background(), prog, replay.FromRecording(res.Recording), replay.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +73,7 @@ func TestCorruptedScheduleRejected(t *testing.T) {
 			break
 		}
 	}
-	if _, err := replay.Sequential(prog, rec, nil, nil); err == nil {
+	if _, err := replay.Run(context.Background(), prog, replay.FromRecording(rec), replay.Options{}); err == nil {
 		t.Fatal("corrupted schedule replayed cleanly")
 	}
 }
@@ -102,17 +104,38 @@ func TestCorruptedSyscallResultRejected(t *testing.T) {
 	if !found {
 		t.Skip("no syscall input data recorded")
 	}
-	if _, err := replay.Sequential(prog, rec, nil, nil); err == nil {
+	if _, err := replay.Run(context.Background(), prog, replay.FromRecording(rec), replay.Options{}); err == nil {
 		t.Fatal("corrupted input data replayed cleanly")
 	}
 }
 
+// TestCorruptedFinalHashRejected tampers with the recorded final hash and
+// checks that every segment shape rejects it, over both sources: one
+// segment from reset, one per epoch, and a thinned set.
 func TestCorruptedFinalHashRejected(t *testing.T) {
 	prog, res := recordWorkload(t, "kvdb", 2)
 	res.Recording.FinalHash ^= 1
-	_, err := replay.Sequential(prog, res.Recording, nil, nil)
-	if err == nil || !strings.Contains(err.Error(), "final hash") {
-		t.Fatalf("err = %v", err)
+	rd, err := dplog.OpenReaderBytes(dplog.MarshalBytes(res.Recording))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sources := []struct {
+		name string
+		src  replay.Source
+	}{{"recording", replay.FromRecording(res.Recording)}, {"reader", replay.FromReader(rd)}}
+	sets := []struct {
+		name string
+		bs   []*epoch.Boundary
+	}{{"sequential", nil}, {"parallel", res.Boundaries}, {"sparse", res.ThinBoundaries(2)}}
+	for _, set := range sets {
+		for _, s := range sources {
+			t.Run(set.name+"/"+s.name, func(t *testing.T) {
+				_, err := replay.Run(context.Background(), prog, s.src, replay.Options{Boundaries: set.bs, CPUs: 2})
+				if err == nil || !strings.Contains(err.Error(), "final hash") {
+					t.Fatalf("err = %v", err)
+				}
+			})
+		}
 	}
 }
 
@@ -131,7 +154,7 @@ func TestReplayRoundTripsThroughCodec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := replay.Sequential(prog, rec, nil, nil)
+	rep, err := replay.Run(context.Background(), prog, replay.FromRecording(rec), replay.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +166,7 @@ func TestReplayRoundTripsThroughCodec(t *testing.T) {
 func TestWrongProgramRejected(t *testing.T) {
 	_, res := recordWorkload(t, "kvdb", 2)
 	other := workloads.Get("fft").Build(workloads.Params{Workers: 2, Seed: 17})
-	if _, err := replay.Sequential(other.Prog, res.Recording, nil, nil); err == nil {
+	if _, err := replay.Run(context.Background(), other.Prog, replay.FromRecording(res.Recording), replay.Options{}); err == nil {
 		t.Fatal("recording replayed against the wrong program")
 	}
 	_ = simos.NewWorld // keep import for symmetry with other tests

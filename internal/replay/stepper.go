@@ -1,8 +1,9 @@
 // Resumable single-epoch execution: the Stepper replays one epoch one
 // retired guest instruction at a time, pausing between instructions with
-// the machine in a fully inspectable state. It is runEpoch unrolled into
-// an iterator — same injectors, same scheduler decisions, same cycle
-// accounting — so a fully stepped epoch lands on exactly the state and
+// the machine in a fully inspectable state. It drives the same epochRun
+// as runEpoch — same injectors, same sched.Uni, same end-of-epoch checks
+// — advancing the scheduler one retirement per Step instead of to
+// completion, so a fully stepped epoch lands on exactly the state and
 // cost runEpoch computes. The debug session (internal/debug) is built on
 // it: every stop point a debugger can reach is "boundary checkpoint +
 // k Stepper.Step calls", which is what makes positions comparable across
@@ -14,8 +15,6 @@ import (
 	"fmt"
 
 	"doubleplay/internal/dplog"
-	"doubleplay/internal/epoch"
-	"doubleplay/internal/sched"
 	"doubleplay/internal/vm"
 )
 
@@ -28,83 +27,42 @@ type StepEvent struct {
 	// Signal marks the event as a signal delivery rather than the
 	// instruction at PC executing.
 	Signal bool
-	// Cost is the instruction's modelled cycle charge.
-	Cost int64
 }
 
-// Stepper executes one epoch instruction by instruction. Scheduled
-// (non-certified) epochs follow the recorded timeslice schedule exactly
-// as sched.Uni.runFollow does; certified epochs free-run round-robin
-// under the recorded sync-order gate exactly as the certified replay
-// path does. The epoch's end-state verification (remaining injections,
-// end hash, certificate checks) runs inside the Step call that retires
-// the final instruction, so a Stepper that reports Done has proved the
-// epoch reproduced the recording.
+// Stepper executes one epoch instruction by instruction. The epoch's
+// end-state verification runs inside the Step call that retires the
+// final instruction, so a Stepper that reports Done has proved the epoch
+// reproduced the recording.
 type Stepper struct {
-	m       *vm.Machine
-	ep      *dplog.EpochLog
-	costs   *vm.CostModel
-	inj     *epoch.InjectOS
-	sigs    *epoch.InjectSignals
-	gate    *epoch.Gate // non-nil iff the epoch is certified
-	quantum int64
+	r     epochRun
+	marks []threadMark // per-thread state before the current Step
+	steps uint64
+	done  bool
+	err   error
+}
 
-	// follow-mode cursor: position in ep.Schedule and retirements within
-	// the current slice.
-	si        int
-	sliceDone uint64
-
-	// free-mode cursor: round-robin position, current thread (-1 between
-	// slices), and retirements within the current slice.
-	cursor       int
-	curTid       int
-	sliceRetired int64
-
-	steps  uint64
-	cycles int64
-	done   bool
-	err    error
+// threadMark is a thread's state before a Step, enough to describe the
+// retirement the Step makes on it.
+type threadMark struct {
+	t            *vm.Thread
+	pc           int
+	retired, sig uint64
 }
 
 // NewStepper prepares m — which must hold ep's start state — for stepped
-// execution of ep. It wires the epoch's syscall and signal injectors
-// (and, for certified epochs, the sync-order gate) into the machine,
-// replacing whatever a previous epoch's Stepper installed. quantum is
-// the recording's scheduling quantum (zero = default), used only by the
-// certified free-run path. An epoch that is already complete (empty
-// schedule, all targets met at entry) is verified immediately; the error
-// is that verification's outcome.
+// execution of ep, wiring the epoch's injectors (and, for certified
+// epochs, the sync-order gate) into the machine. quantum is the
+// recording's scheduling quantum (zero = default), used only by
+// certified epochs. An epoch that is already complete (all targets met
+// at entry) is verified immediately; the error is that verification's
+// outcome.
 func NewStepper(m *vm.Machine, ep *dplog.EpochLog, quantum int64, costs *vm.CostModel) (*Stepper, error) {
 	if costs == nil {
 		costs = vm.DefaultCosts()
 	}
-	s := &Stepper{m: m, ep: ep, costs: costs, quantum: quantum, curTid: -1}
-	s.inj = epoch.NewInjectOS(ep.Syscalls)
-	m.OS = s.inj
-	s.sigs = epoch.NewInjectSignals(ep.Signals)
-	m.Hooks.PendingSignal = s.sigs.Pending
-	m.Hooks.MayAcquire = nil
-	m.Hooks.OnSync = nil
-	if ep.Certified {
-		s.gate = epoch.NewGate(ep.SyncOrder)
-		m.Hooks.MayAcquire = s.gate.MayAcquire
-		m.Hooks.OnSync = s.gate.OnSync
-		if s.quantum <= 0 {
-			s.quantum = sched.DefaultQuantum
-		}
-		// The epoch may hold no work at all; detect it the way runFree
-		// would, before the first Step call.
-		if met, err := s.targetsMet(); err != nil {
-			return nil, s.fail(err)
-		} else if met {
-			if err := s.finish(); err != nil {
-				return nil, err
-			}
-		}
-	} else if len(ep.Schedule) == 0 {
-		if err := s.finish(); err != nil {
-			return nil, err
-		}
+	s := &Stepper{r: newEpochRun(m, ep, quantum, costs, nil)}
+	if err := s.advance(0); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
@@ -120,47 +78,19 @@ func (s *Stepper) Err() error { return s.err }
 func (s *Stepper) Steps() uint64 { return s.steps }
 
 // Epoch returns the epoch log being stepped.
-func (s *Stepper) Epoch() *dplog.EpochLog { return s.ep }
+func (s *Stepper) Epoch() *dplog.EpochLog { return s.r.ep }
 
 // Cycles returns the epoch cost consumed so far, on the same scale as
-// runEpoch's return: scheduler cycles plus the per-injection and (for
-// certified epochs) per-gate-op surcharges. When Done, this equals what
-// runEpoch would have returned for the whole epoch.
-func (s *Stepper) Cycles() int64 {
-	c := s.cycles + int64(s.inj.Injected)*s.costs.InjectSysEvent
-	if s.gate != nil {
-		c += int64(s.gate.Used()) * s.costs.EnforceSyncEvent
-	}
-	return c
-}
+// runEpoch's return. When Done, this equals what runEpoch would have
+// returned for the whole epoch.
+func (s *Stepper) Cycles() int64 { return s.r.cost() }
 
 // NextTid reports which thread the scheduler will run next, when known.
 func (s *Stepper) NextTid() (int, bool) {
 	if s.done || s.err != nil {
 		return 0, false
 	}
-	if s.gate == nil {
-		if s.si >= len(s.ep.Schedule) {
-			return 0, false
-		}
-		return s.ep.Schedule[s.si].Tid, true
-	}
-	if s.curTid >= 0 {
-		t := s.m.Threads[s.curTid]
-		if s.sliceRetired < s.quantum && t.Status.Live() && !t.Status.Blocked() && s.belowTarget(t) {
-			return s.curTid, true
-		}
-	}
-	// Peek the round-robin pick without consuming the cursor.
-	threads := s.m.Threads
-	n := len(threads)
-	for k := 0; k < n; k++ {
-		t := threads[(s.cursor+k)%n]
-		if t.Status == vm.Runnable && s.belowTarget(t) {
-			return t.ID, true
-		}
-	}
-	return 0, false
+	return s.r.uni.NextTid()
 }
 
 // Step retires exactly one guest instruction and returns what retired.
@@ -170,236 +100,37 @@ func (s *Stepper) Step() (StepEvent, error) {
 		return StepEvent{}, s.err
 	}
 	if s.done {
-		return StepEvent{}, fmt.Errorf("replay: epoch %d already complete", s.ep.Index)
+		return StepEvent{}, fmt.Errorf("replay: epoch %d already complete", s.r.ep.Index)
 	}
-	if s.gate != nil {
-		return s.stepFree()
+	// Note the threads that may retire: in a follow run exactly the
+	// scheduled one; in a free run an attempt that blocks hands the CPU to
+	// the next thread, so any of them.
+	may := s.r.m.Threads
+	if tid, ok := s.r.uni.NextTid(); ok && s.r.uni.Follow != nil && tid >= 0 && tid < len(may) {
+		may = may[tid : tid+1]
 	}
-	return s.stepFollow()
+	s.marks = s.marks[:0]
+	for _, t := range may {
+		s.marks = append(s.marks, threadMark{t: t, pc: t.PC, retired: t.Retired, sig: t.SigRetired})
+	}
+	err := s.advance(1)
+	var ev StepEvent
+	for _, mk := range s.marks {
+		if mk.t.Retired != mk.retired {
+			ev = StepEvent{Tid: mk.t.ID, PC: mk.pc, Signal: mk.t.SigRetired != mk.sig}
+			s.steps++
+		}
+	}
+	return ev, err
 }
 
-// fail records a sticky error, wrapped the way runEpoch or
-// runCertifiedEpoch would report it.
-func (s *Stepper) fail(err error) error {
-	if s.gate != nil {
-		s.err = fmt.Errorf("%w: epoch %d: %v", ErrCertViolated, s.ep.Index, err)
-	} else {
-		s.err = fmt.Errorf("replay: epoch %d: %w", s.ep.Index, err)
+// advance runs the scheduler for up to n retirements and, when the epoch
+// completes or fails, finishes it.
+func (s *Stepper) advance(n uint64) error {
+	done, err := s.r.uni.Advance(n)
+	if done || err != nil {
+		err = s.r.finish(err)
+		s.done, s.err = err == nil, err
 	}
-	return s.err
-}
-
-// stepFollow advances replay mode by one retirement, mirroring
-// sched.Uni.runFollow: within a slice the named thread must retire; a
-// completed slice charges the context switch; exhausting the schedule
-// triggers end-of-epoch verification.
-func (s *Stepper) stepFollow() (StepEvent, error) {
-	sl := s.ep.Schedule[s.si]
-	if sl.Tid < 0 || sl.Tid >= len(s.m.Threads) {
-		return StepEvent{}, s.fail(fmt.Errorf("%w: slice %d names unknown thread %d", sched.ErrDiverged, s.si, sl.Tid))
-	}
-	t := s.m.Threads[sl.Tid]
-	for {
-		if !t.Status.Live() {
-			return StepEvent{}, s.fail(fmt.Errorf("%w: slice %d: thread %d dead after %d/%d",
-				sched.ErrDiverged, s.si, sl.Tid, s.sliceDone, sl.N))
-		}
-		if t.Status.Blocked() {
-			return StepEvent{}, s.fail(fmt.Errorf("%w: slice %d: thread %d blocked (%s) after %d/%d",
-				sched.ErrDiverged, s.si, sl.Tid, t.Status, s.sliceDone, sl.N))
-		}
-		before := t.Retired
-		sig0 := t.SigRetired
-		pc0 := t.PC
-		s.m.Now = s.cycles
-		res := s.m.Step(t)
-		if s.m.Diverged != "" {
-			return StepEvent{}, s.fail(fmt.Errorf("%w: %s", sched.ErrDiverged, s.m.Diverged))
-		}
-		if !res.Retired {
-			continue // re-attempt resolved by barrier/lock side effects
-		}
-		s.cycles += res.Cost
-		s.sliceDone += t.Retired - before
-		s.steps++
-		ev := StepEvent{Tid: t.ID, PC: pc0, Signal: t.SigRetired != sig0, Cost: res.Cost}
-		if s.sliceDone >= sl.N {
-			if s.sliceDone != sl.N {
-				return ev, s.fail(fmt.Errorf("%w: slice %d: thread %d retired %d, slice says %d",
-					sched.ErrDiverged, s.si, sl.Tid, s.sliceDone, sl.N))
-			}
-			s.si++
-			s.sliceDone = 0
-			s.cycles += s.m.Cost.TimesliceSwitch
-			if s.si == len(s.ep.Schedule) {
-				if err := s.finish(); err != nil {
-					return ev, err
-				}
-			}
-		}
-		return ev, nil
-	}
-}
-
-// stepFree advances a certified epoch by one retirement, mirroring
-// sched.Uni.runFree/runSlice: round-robin slices bounded by the quantum,
-// with the context switch charged when a slice starts.
-func (s *Stepper) stepFree() (StepEvent, error) {
-	for {
-		if s.curTid < 0 {
-			t := s.pickNext()
-			if t == nil {
-				// Injected syscalls never block, so there is no blocked-sys
-				// state to poll out of: a stuck free run diverged.
-				return StepEvent{}, s.fail(fmt.Errorf("%w: no runnable thread before targets met\n%s",
-					sched.ErrDiverged, s.m.DescribeState()))
-			}
-			s.curTid = t.ID
-			s.sliceRetired = 0
-			s.cycles += s.m.Cost.TimesliceSwitch
-		}
-		t := s.m.Threads[s.curTid]
-		if s.sliceRetired >= s.quantum || !t.Status.Live() || t.Status.Blocked() ||
-			!s.belowTarget(t) {
-			if err := s.endSlice(); err != nil {
-				return StepEvent{}, err
-			}
-			if s.done {
-				return StepEvent{}, fmt.Errorf("replay: epoch %d already complete", s.ep.Index)
-			}
-			continue
-		}
-		sig0 := t.SigRetired
-		pc0 := t.PC
-		s.m.Now = s.cycles
-		res := s.m.Step(t)
-		if s.m.Diverged != "" {
-			return StepEvent{}, s.fail(fmt.Errorf("%w: %s", sched.ErrDiverged, s.m.Diverged))
-		}
-		if !res.Retired {
-			// A failed attempt (lock contention, gate hold) ends the slice,
-			// exactly as runSlice breaks out.
-			if err := s.endSlice(); err != nil {
-				return StepEvent{}, err
-			}
-			continue
-		}
-		s.cycles += res.Cost
-		s.sliceRetired++
-		s.steps++
-		ev := StepEvent{Tid: t.ID, PC: pc0, Signal: t.SigRetired != sig0, Cost: res.Cost}
-		// If that retirement completed the epoch, verify now so Done flips
-		// inside this call — the caller must not need a failing extra Step
-		// to learn the epoch ended.
-		if !s.belowTarget(t) {
-			if met, err := s.targetsMet(); err != nil {
-				return ev, s.fail(err)
-			} else if met {
-				if err := s.finish(); err != nil {
-					return ev, err
-				}
-			}
-		}
-		return ev, nil
-	}
-}
-
-// endSlice closes the current free-run slice and, when all targets are
-// met, completes the epoch.
-func (s *Stepper) endSlice() error {
-	s.curTid = -1
-	met, err := s.targetsMet()
-	if err != nil {
-		return s.fail(err)
-	}
-	if met && !s.done {
-		return s.finish()
-	}
-	return nil
-}
-
-// belowTarget mirrors sched.Uni.belowTarget over the epoch's targets.
-func (s *Stepper) belowTarget(t *vm.Thread) bool {
-	if !t.Status.Live() {
-		return false
-	}
-	if t.ID >= len(s.ep.Targets) {
-		return false
-	}
-	return t.Retired < s.ep.Targets[t.ID]
-}
-
-// targetsMet mirrors sched.Uni.targetsMet over the epoch's targets.
-func (s *Stepper) targetsMet() (bool, error) {
-	for _, t := range s.m.Threads {
-		if t.ID >= len(s.ep.Targets) {
-			return false, fmt.Errorf("%w: thread %d not present in recording", sched.ErrDiverged, t.ID)
-		}
-		want := s.ep.Targets[t.ID]
-		switch {
-		case t.Retired == want:
-		case t.Retired < want:
-			if !t.Status.Live() {
-				return false, fmt.Errorf("%w: thread %d died at %d retired, target %d",
-					sched.ErrDiverged, t.ID, t.Retired, want)
-			}
-			return false, nil
-		default:
-			return false, fmt.Errorf("%w: thread %d overshot target %d (retired %d)",
-				sched.ErrDiverged, t.ID, want, t.Retired)
-		}
-	}
-	return true, nil
-}
-
-// pickNext mirrors sched.Uni.pickNext: round-robin scan for a runnable
-// thread below target, advancing the cursor past the pick.
-func (s *Stepper) pickNext() *vm.Thread {
-	threads := s.m.Threads
-	n := len(threads)
-	for k := 0; k < n; k++ {
-		t := threads[(s.cursor+k)%n]
-		if t.Status == vm.Runnable && s.belowTarget(t) {
-			s.cursor = (s.cursor + k + 1) % n
-			return t
-		}
-	}
-	return nil
-}
-
-// finish runs runEpoch's end-of-epoch cross-checks (plus the certified
-// path's gate checks) and detaches the gate hooks, leaving the machine
-// ready for the next epoch's Stepper.
-func (s *Stepper) finish() error {
-	if s.gate == nil {
-		// Follow mode reaches finish only after the schedule is consumed;
-		// the recorded targets must be met exactly.
-		met, err := s.targetsMet()
-		if err != nil {
-			return s.fail(err)
-		}
-		if !met {
-			return s.fail(sched.ErrLogExhausted)
-		}
-	} else {
-		if r := s.gate.Remaining(); r != 0 {
-			return s.fail(fmt.Errorf("%d recorded sync ops never performed", r))
-		}
-		if gateErr := s.gate.Err(); gateErr != "" {
-			return s.fail(fmt.Errorf("%s", gateErr))
-		}
-		s.m.Hooks.MayAcquire = nil
-		s.m.Hooks.OnSync = nil
-	}
-	if r := s.inj.Remaining(); r != 0 {
-		return s.fail(fmt.Errorf("%d recorded syscalls never issued", r))
-	}
-	if r := s.sigs.Remaining(); r != 0 {
-		return s.fail(fmt.Errorf("%d recorded signals never delivered", r))
-	}
-	if h := s.m.StateHash(); h != s.ep.EndHash {
-		return s.fail(fmt.Errorf("end state hash %016x != recorded %016x", h, s.ep.EndHash))
-	}
-	s.done = true
-	return nil
+	return err
 }

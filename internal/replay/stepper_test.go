@@ -1,6 +1,7 @@
 package replay_test
 
 import (
+	"context"
 	"testing"
 
 	"doubleplay/internal/core"
@@ -20,7 +21,7 @@ func TestStepperMatchesSequential(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			prog, res := recordWorkload(t, tc.name, tc.workers)
 			rec := res.Recording
-			seq, err := replay.Sequential(prog, rec, nil, nil)
+			seq, err := replay.Run(context.Background(), prog, replay.FromRecording(rec), replay.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -58,12 +59,13 @@ func TestStepperMatchesSequential(t *testing.T) {
 func TestStepperMatchesOneEpoch(t *testing.T) {
 	prog, res := recordWorkload(t, "radix", 2)
 	rec := res.Recording
-	bs, err := replay.Checkpoints(nil, prog, rec, nil)
+	bs, err := replay.CheckpointsFrom(context.Background(), prog, replay.FromRecording(rec), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, ep := range rec.Epochs {
-		one, err := replay.OneEpoch(prog, bs[i], ep, rec.Quantum, nil)
+		one := bs[i].CP.Restore(prog, nil, nil)
+		oneCycles, err := replay.RunOneEpoch(one, ep, rec.Quantum, nil)
 		if err != nil {
 			t.Fatalf("epoch %d: %v", i, err)
 		}
@@ -77,11 +79,11 @@ func TestStepperMatchesOneEpoch(t *testing.T) {
 				t.Fatalf("epoch %d step %d: %v", i, st.Steps(), err)
 			}
 		}
-		if st.Cycles() != one.Cycles {
-			t.Fatalf("epoch %d: stepped cycles %d != OneEpoch %d", i, st.Cycles(), one.Cycles)
+		if st.Cycles() != oneCycles {
+			t.Fatalf("epoch %d: stepped cycles %d != RunOneEpoch %d", i, st.Cycles(), oneCycles)
 		}
-		if h := m.StateHash(); h != one.FinalHash {
-			t.Fatalf("epoch %d: stepped hash %016x != OneEpoch %016x", i, h, one.FinalHash)
+		if h := m.StateHash(); h != one.StateHash() {
+			t.Fatalf("epoch %d: stepped hash %016x != RunOneEpoch %016x", i, h, one.StateHash())
 		}
 	}
 }
@@ -112,7 +114,7 @@ func TestStepperCertified(t *testing.T) {
 	if !certified {
 		t.Skip("recording has no certified epochs")
 	}
-	seq, err := replay.Sequential(bt.Prog, rec, nil, nil)
+	seq, err := replay.Run(context.Background(), bt.Prog, replay.FromRecording(rec), replay.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

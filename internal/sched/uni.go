@@ -27,6 +27,11 @@ var ErrLogExhausted = errors.New("sched: schedule log exhausted before targets m
 //
 // Targets, when set, give each thread's retired-instruction count at the
 // epoch boundary; threads stop there and the run ends when all reach them.
+//
+// A run is resumable: [Uni.Advance] stops after a given number of
+// retirements and the next call picks up exactly where it stopped, so a
+// run advanced one retirement at a time makes the same scheduling
+// decisions, charges and log as one [Uni.Run].
 type Uni struct {
 	M       *vm.Machine
 	Quantum int64
@@ -64,7 +69,14 @@ type Uni struct {
 	// Switches counts context switches (slices executed).
 	Switches int64
 
-	cursor int // round-robin position for logging mode
+	// Where a paused run resumes.
+	cursor     int        // round-robin position for free runs
+	slice      int        // replay mode: index of the current Follow slice
+	cur        *vm.Thread // free run: thread of the open slice, nil between slices
+	sliceN     uint64     // retirements so far in the current slice
+	sliceStart int64      // Cycles when the current slice began
+	started    bool       // a free run has recorded budgetBase
+	budgetBase uint64     // totalRetired when the free run started
 }
 
 // NewUni builds a uniprocessor scheduler over m.
@@ -124,10 +136,41 @@ func (u *Uni) targetsMet() (bool, error) {
 // Run executes until targets are met (or the machine terminates, when
 // Targets is nil).
 func (u *Uni) Run() error {
+	_, err := u.Advance(^uint64(0))
+	return err
+}
+
+// Advance continues the run until it completes or n more instructions
+// have retired inside timeslices, whichever comes first, and reports
+// whether the run is complete. A retirement that finishes the run is
+// recognised in the same call, and a call that exhausts n never starts
+// the next timeslice, so stopping between calls changes no charge.
+// Advance(0) only detects a run that is already complete.
+func (u *Uni) Advance(n uint64) (bool, error) {
 	if u.Follow != nil {
-		return u.runFollow()
+		return u.follow(n)
 	}
-	return u.runFree()
+	return u.free(n)
+}
+
+// NextTid reports which thread the next retirement is expected on, when
+// known. In a free run an attempt that blocks ends its slice, so the
+// round-robin successor may retire instead.
+func (u *Uni) NextTid() (int, bool) {
+	if u.Follow != nil {
+		if u.slice >= len(u.Follow) {
+			return 0, false
+		}
+		return u.Follow[u.slice].Tid, true
+	}
+	t := u.cur
+	if t == nil {
+		t = u.peekNext()
+	}
+	if t == nil {
+		return 0, false
+	}
+	return t.ID, true
 }
 
 // totalRetired sums retired instructions across all threads.
@@ -139,33 +182,42 @@ func (u *Uni) totalRetired() uint64 {
 	return n
 }
 
-// runFree is logging mode: round-robin with quantum, appending slices.
-func (u *Uni) runFree() error {
-	startRetired := u.totalRetired()
+// free is logging mode: round-robin with quantum, appending slices.
+func (u *Uni) free(left uint64) (bool, error) {
+	if !u.started {
+		u.started = true
+		u.budgetBase = u.totalRetired()
+	}
 	for {
-		if u.TotalBudget > 0 && u.totalRetired()-startRetired >= u.TotalBudget {
-			return nil
-		}
-		done, err := u.targetsMet()
-		if err != nil {
-			return err
-		}
-		if done {
-			return nil
-		}
-		t := u.pickNext()
-		if t == nil {
-			if u.pollBlockedSys() {
-				continue
+		if u.cur == nil {
+			if u.TotalBudget > 0 && u.totalRetired()-u.budgetBase >= u.TotalBudget {
+				return true, nil
 			}
-			return fmt.Errorf("%w\n%s", u.stuckErr(), u.M.DescribeState())
+			done, err := u.targetsMet()
+			if err != nil || done {
+				return done, err
+			}
+			if left == 0 {
+				return false, nil
+			}
+			t := u.pickNext()
+			if t == nil {
+				if u.pollBlockedSys() {
+					continue
+				}
+				return false, fmt.Errorf("%w\n%s", u.stuckErr(), u.M.DescribeState())
+			}
+			u.cur, u.sliceN = t, 0
+			u.Switches++
+			u.Cycles += u.M.Cost.TimesliceSwitch
+			u.sliceStart = u.Cycles
 		}
-		retired, err := u.runSlice(t, u.Quantum)
-		if err != nil {
-			return err
+		var err error
+		if left, err = u.runSlice(left); err != nil {
+			return false, err
 		}
-		if retired > 0 {
-			u.appendSlice(t.ID, retired)
+		if u.cur != nil {
+			return false, nil // the budget ran out inside the slice
 		}
 	}
 }
@@ -179,18 +231,27 @@ func (u *Uni) stuckErr() error {
 	return ErrDeadlock
 }
 
-// pickNext scans round-robin for a runnable thread below target.
-func (u *Uni) pickNext() *vm.Thread {
+// peekNext returns the thread pickNext would choose, without moving the
+// round-robin cursor.
+func (u *Uni) peekNext() *vm.Thread {
 	threads := u.M.Threads
 	n := len(threads)
 	for k := 0; k < n; k++ {
 		t := threads[(u.cursor+k)%n]
 		if t.Status == vm.Runnable && u.belowTarget(t) {
-			u.cursor = (u.cursor + k + 1) % n
 			return t
 		}
 	}
 	return nil
+}
+
+// pickNext scans round-robin for a runnable thread below target.
+func (u *Uni) pickNext() *vm.Thread {
+	t := u.peekNext()
+	if t != nil {
+		u.cursor = (t.ID + 1) % len(u.M.Threads)
+	}
+	return t
 }
 
 // pollBlockedSys advances time and re-attempts syscall-blocked threads; it
@@ -209,60 +270,60 @@ func (u *Uni) pollBlockedSys() bool {
 	}
 	u.Cycles += sysPollInterval
 	u.M.Now = u.Cycles
-	progressed := false
 	for _, t := range u.M.Threads {
 		if t.Status != vm.BlockedSys || !u.belowTarget(t) {
 			continue
 		}
-		res := u.M.Step(t)
-		if res.Retired {
+		if res := u.M.Step(t); res.Retired {
 			u.Cycles += res.Cost
-			progressed = true
-			if t.Status == vm.Runnable {
-				// Let the round-robin loop schedule it normally from here.
-				continue
-			}
 		}
 	}
 	// Even with no retirement, time moved forward; the caller loops and the
 	// livelock guard is the simulated clock itself (world events are finite).
-	_ = progressed
 	return true
 }
 
-// runSlice runs t until quantum retirements, a block, its target, or
-// machine/thread termination. It returns the number retired.
-func (u *Uni) runSlice(t *vm.Thread, quantum int64) (uint64, error) {
-	u.Switches++
-	u.Cycles += u.M.Cost.TimesliceSwitch
-	sliceStart := u.Cycles
-	var retired uint64
-	for int64(retired) < quantum {
+// runSlice continues the open slice of u.cur until quantum retirements, a
+// block, its target, machine/thread termination, or the budget left runs
+// out. A slice that ends is traced, logged and closed (u.cur = nil); one
+// stopped by the budget stays open. It returns the budget remaining.
+func (u *Uni) runSlice(left uint64) (uint64, error) {
+	t, retired := u.cur, u.sliceN
+	for int64(retired) < u.Quantum {
 		if !t.Status.Live() || t.Status.Blocked() {
 			break
 		}
 		if u.Targets != nil && !u.belowTarget(t) {
 			break
 		}
+		if left == 0 {
+			u.sliceN = retired
+			return 0, nil
+		}
 		u.M.Now = u.Cycles
 		res := u.M.Step(t)
 		if u.M.Diverged != "" {
-			return retired, fmt.Errorf("%w: %s", ErrDiverged, u.M.Diverged)
+			return left, fmt.Errorf("%w: %s", ErrDiverged, u.M.Diverged)
 		}
 		if !res.Retired {
 			break
 		}
 		u.Cycles += res.Cost
 		retired++
+		left--
 	}
+	u.cur = nil
 	if trace.Enabled(u.Trace) && retired > 0 {
-		u.Trace.Span(u.sliceSpan(), sliceStart, u.Cycles-sliceStart, u.TracePid, u.TraceTid,
+		u.Trace.Span(u.sliceSpan(), u.sliceStart, u.Cycles-u.sliceStart, u.TracePid, u.TraceTid,
 			map[string]any{"tid": t.ID, "retired": retired})
 	}
 	// A guest fault ends the thread like an exit; whether that is a guest
 	// bug (native/baseline runs) or a divergence (target runs, where the
 	// dead thread stops short of its target) is the caller's judgement.
-	return retired, nil
+	if retired > 0 {
+		u.appendSlice(t.ID, retired)
+	}
+	return left, nil
 }
 
 // appendSlice records a timeslice, merging with the previous entry when the
@@ -279,53 +340,62 @@ func (u *Uni) appendSlice(tid int, n uint64) {
 	u.Cycles += u.M.Cost.SchedLogEvent
 }
 
-// runFollow is replay mode: reproduce the logged schedule exactly.
-func (u *Uni) runFollow() error {
-	for i, s := range u.Follow {
+// follow is replay mode: reproduce the logged schedule exactly.
+func (u *Uni) follow(left uint64) (bool, error) {
+	for ; u.slice < len(u.Follow); u.slice++ {
+		i, s := u.slice, u.Follow[u.slice]
 		if s.Tid < 0 || s.Tid >= len(u.M.Threads) {
-			return fmt.Errorf("%w: slice %d names unknown thread %d", ErrDiverged, i, s.Tid)
+			return false, fmt.Errorf("%w: slice %d names unknown thread %d", ErrDiverged, i, s.Tid)
 		}
 		t := u.M.Threads[s.Tid]
-		sliceStart := u.Cycles
-		var retired uint64
+		retired := u.sliceN
+		if retired == 0 {
+			u.sliceStart = u.Cycles
+		}
 		for retired < s.N {
+			if left == 0 {
+				u.sliceN = retired
+				return false, nil
+			}
 			if !t.Status.Live() {
-				return fmt.Errorf("%w: slice %d: thread %d dead after %d/%d",
+				return false, fmt.Errorf("%w: slice %d: thread %d dead after %d/%d",
 					ErrDiverged, i, s.Tid, retired, s.N)
 			}
 			if t.Status.Blocked() {
-				return fmt.Errorf("%w: slice %d: thread %d blocked (%s) after %d/%d",
+				return false, fmt.Errorf("%w: slice %d: thread %d blocked (%s) after %d/%d",
 					ErrDiverged, i, s.Tid, t.Status, retired, s.N)
 			}
 			before := t.Retired
 			u.M.Now = u.Cycles
 			res := u.M.Step(t)
 			if u.M.Diverged != "" {
-				return fmt.Errorf("%w: %s", ErrDiverged, u.M.Diverged)
+				return false, fmt.Errorf("%w: %s", ErrDiverged, u.M.Diverged)
 			}
 			if !res.Retired {
 				continue // re-attempt resolved by barrier/lock side effects
 			}
 			u.Cycles += res.Cost
 			retired += t.Retired - before
+			left--
 		}
 		if retired != s.N {
-			return fmt.Errorf("%w: slice %d: thread %d retired %d, slice says %d",
+			return false, fmt.Errorf("%w: slice %d: thread %d retired %d, slice says %d",
 				ErrDiverged, i, s.Tid, retired, s.N)
 		}
 		if trace.Enabled(u.Trace) {
-			u.Trace.Span(u.sliceSpan(), sliceStart, u.Cycles-sliceStart, u.TracePid, u.TraceTid,
+			u.Trace.Span(u.sliceSpan(), u.sliceStart, u.Cycles-u.sliceStart, u.TracePid, u.TraceTid,
 				map[string]any{"tid": s.Tid, "retired": retired})
 		}
 		u.Switches++
 		u.Cycles += u.M.Cost.TimesliceSwitch
+		u.sliceN = 0
 	}
 	done, err := u.targetsMet()
 	if err != nil {
-		return err
+		return false, err
 	}
 	if !done {
-		return ErrLogExhausted
+		return false, ErrLogExhausted
 	}
-	return nil
+	return true, nil
 }

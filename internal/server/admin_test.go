@@ -80,6 +80,10 @@ func TestStorageTierPinGCAndStats(t *testing.T) {
 	if codeB, _, _ := getRecording(t, ts.URL+"/jobs/"+idB+"/recording"); codeB != http.StatusNotFound {
 		t.Fatalf("collected recording still served: %d", codeB)
 	}
+	// A collected recording cannot be pinned back.
+	if code, v := doJSON(t, "POST", ts.URL+"/jobs/"+idB+"/pin", nil); code != http.StatusNotFound {
+		t.Fatalf("pin of a collected recording: %d %v", code, v)
+	}
 
 	// A survivor still replays by id after the sweep.
 	repID := submit(t, ts, map[string]any{"kind": "replay", "recording_job": idA, "mode": "sequential"})

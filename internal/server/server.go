@@ -604,7 +604,8 @@ func (s *Server) handleRecording(w http.ResponseWriter, r *http.Request) {
 
 // handlePin marks a job's recording as protected from retention GC.
 // Pinning is durable (a marker in the job's artifact directory) and
-// idempotent.
+// idempotent. A job with no stored recording — not recorded yet, or
+// already collected — is 404.
 func (s *Server) handlePin(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.getJob(r.PathValue("id"))
 	if !ok {
@@ -612,7 +613,11 @@ func (s *Server) handlePin(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := s.store.Pin(j.ID); err != nil {
-		writeErr(w, http.StatusInternalServerError, "pinning job %s: %v", j.ID, err)
+		code := http.StatusInternalServerError
+		if errors.Is(err, store.ErrNoRecording) {
+			code = http.StatusNotFound
+		}
+		writeErr(w, code, "pinning job %s: %v", j.ID, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"id": j.ID, "pinned": true})

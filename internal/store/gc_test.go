@@ -2,6 +2,7 @@ package store_test
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -177,14 +178,16 @@ func TestPinDuringSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := <-pinned; err != nil {
-		t.Fatalf("Pin during sweep: %v", err)
+	s.SetSweepHook(nil)
+	if err := <-pinned; !errors.Is(err, store.ErrNoRecording) {
+		t.Fatalf("Pin during sweep of the job's recording: err = %v, want ErrNoRecording", err)
 	}
 	if rep.ManifestsRemoved != 1 {
 		t.Fatalf("aged recording not collected: %+v", rep)
 	}
-	// The late pin landed on a now-recording-less job. That is harmless:
-	// fsck stays clean and a second GC does not crash.
+	if s.Pinned("jobA") {
+		t.Fatal("the late pin left a marker on a recording-less job")
+	}
 	fsck, err := s.Fsck()
 	if err != nil {
 		t.Fatal(err)

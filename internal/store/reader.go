@@ -71,7 +71,7 @@ func (s *Store) OpenRecording(digest string) (*Handle, error) {
 func (s *Store) OpenRecordingByJob(id string) (*Handle, error) {
 	d := s.RecordingRef(id)
 	if d == "" {
-		return nil, fmt.Errorf("store: job %s has no stored recording", id)
+		return nil, fmt.Errorf("%w: %s", ErrNoRecording, id)
 	}
 	return s.OpenRecording(d)
 }

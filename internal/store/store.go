@@ -31,6 +31,7 @@ package store
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"hash"
 	"os"
@@ -332,11 +333,20 @@ func (s *Store) ReadRecording(id string) ([]byte, error) {
 	return data, nil
 }
 
+// ErrNoRecording reports a job with no stored recording: it never
+// produced one, or retention GC collected it.
+var ErrNoRecording = errors.New("store: job has no stored recording")
+
 // Pin protects a job's recording (and every chunk it references) from
-// GC until Unpin.
+// GC until Unpin. Pinning a job with no stored recording fails with
+// ErrNoRecording, so a pin that lost a race with GC is reported instead
+// of leaving a marker that protects nothing.
 func (s *Store) Pin(id string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.RecordingRef(id) == "" {
+		return fmt.Errorf("%w: %s", ErrNoRecording, id)
+	}
 	return s.WriteJobArtifact(id, "pinned", []byte("pinned\n"))
 }
 

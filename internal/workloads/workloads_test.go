@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"context"
 	"testing"
 
 	"doubleplay/internal/core"
@@ -66,7 +67,7 @@ func TestRecordReplayFidelity(t *testing.T) {
 					t.Fatal(err)
 				}
 
-				seq, err := replay.Sequential(bt.Prog, res.Recording, nil, nil)
+				seq, err := replay.Run(context.Background(), bt.Prog, replay.FromRecording(res.Recording), replay.Options{})
 				if err != nil {
 					t.Fatalf("sequential replay: %v", err)
 				}

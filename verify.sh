@@ -20,6 +20,9 @@ echo "== go build + test"
 go build ./...
 go test ./...
 
+echo "== benchmark module (hostbench/ is its own Go module, outside ./...)"
+(cd hostbench && go vet ./... && go test ./...)
+
 echo "== dpvet (static screen, all builtin workloads)"
 go run ./cmd/dpvet -q
 
