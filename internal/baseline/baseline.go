@@ -15,6 +15,7 @@ import (
 	"fmt"
 
 	"doubleplay/internal/dplog"
+	"doubleplay/internal/epoch"
 	"doubleplay/internal/sched"
 	"doubleplay/internal/simos"
 	"doubleplay/internal/trace"
@@ -70,8 +71,8 @@ func RunCREW(prog *vm.Program, world *simos.World, cpus int, seed int64, costs *
 		pid = tr.AllocPid(fmt.Sprintf("baseline crew %s cpus=%d", prog.Name, cpus))
 	}
 	// Like any replay system, CREW must also log external inputs.
-	ros := &uniRecordOS{inner: simos.NewOS(world)}
-	m := vm.NewMachine(prog, ros, costs)
+	lg := epoch.NewLogger(world, nil, 0)
+	m := vm.NewMachine(prog, lg, costs)
 
 	pages := make(map[vm.Word]*crewPage)
 	var transitions int64
@@ -148,7 +149,7 @@ func RunCREW(prog *vm.Program, world *simos.World, cpus int, seed int64, costs *
 		tr.Instant("baseline.crew.done", par.WallTime(), pid, 0,
 			map[string]any{"transitions": transitions, "retired": par.Retired()})
 	}
-	inputBytes := (&dplog.Recording{Epochs: []*dplog.EpochLog{{Syscalls: ros.log}}}).ReplaySize()
+	inputBytes := (&dplog.Recording{Epochs: []*dplog.EpochLog{lg.Take()}}).ReplaySize()
 	return &CrewResult{
 		Cycles:      par.WallTime() + transitions*CrewFaultCost/int64(cpus),
 		BaseCycles:  par.WallTime(),
@@ -172,20 +173,6 @@ type UniResult struct {
 	Faults    []string
 }
 
-// uniRecordOS logs syscalls for the uniprocessor baseline.
-type uniRecordOS struct {
-	inner vm.SyscallHandler
-	log   []dplog.SyscallRecord
-}
-
-func (r *uniRecordOS) Syscall(m *vm.Machine, t *vm.Thread, num vm.Word, args [6]vm.Word) vm.SysResult {
-	res := r.inner.Syscall(m, t, num, args)
-	if !res.Block && res.Fault == "" {
-		r.log = append(r.log, dplog.SyscallRecord{Tid: t.ID, Num: num, Args: args, Ret: res.Ret, Writes: res.Writes})
-	}
-	return res
-}
-
 // RunUniprocessor records prog with classic single-CPU timeslicing for the
 // whole execution — the paper's "what everyone did before multiprocessors"
 // baseline. Its log is one giant epoch.
@@ -204,16 +191,9 @@ func RunUniprocessor(prog *vm.Program, world *simos.World, costs *vm.CostModel, 
 		pid = tr.AllocPid("baseline uni " + prog.Name)
 		tr.NameThread(pid, 0, "cpu0")
 	}
-	ros := &uniRecordOS{inner: simos.NewOS(world)}
-	m := vm.NewMachine(prog, ros, costs)
-	var sigs []dplog.SignalRecord
-	m.Hooks.PendingSignal = func(t *vm.Thread) (vm.Word, bool) {
-		sig, ok := world.NextSignal(t.ID, m.Now)
-		if ok {
-			sigs = append(sigs, dplog.SignalRecord{Tid: t.ID, Retired: t.Retired, Sig: sig})
-		}
-		return sig, ok
-	}
+	lg := epoch.NewLogger(world, nil, 0)
+	m := vm.NewMachine(prog, nil, costs)
+	lg.Attach(m)
 	uni := sched.NewUni(m)
 	uni.LogSchedule = true
 	if traced {
@@ -224,33 +204,25 @@ func RunUniprocessor(prog *vm.Program, world *simos.World, costs *vm.CostModel, 
 	if err := uni.Run(); err != nil {
 		return nil, err
 	}
+	ep := lg.Take()
 	if traced {
 		tr.Instant("baseline.uni.done", uni.Cycles, pid, 0,
-			map[string]any{"slices": len(uni.Log), "syscalls": len(ros.log)})
+			map[string]any{"slices": len(uni.Log), "syscalls": len(ep.Syscalls)})
 	}
 
 	var total uint64
-	for _, t := range m.Threads {
+	ep.Targets = make([]uint64, len(m.Threads))
+	for i, t := range m.Threads {
+		ep.Targets[i] = t.Retired
 		total += t.Retired
 	}
-	targets := make([]uint64, len(m.Threads))
-	for i, t := range m.Threads {
-		targets[i] = t.Retired
-	}
-	rec := &dplog.Recording{
-		Program: prog.Name,
-		Epochs: []*dplog.EpochLog{{
-			Targets:  targets,
-			Schedule: uni.Log,
-			Syscalls: ros.log,
-			Signals:  sigs,
-		}},
-	}
+	ep.Schedule = uni.Log
+	rec := &dplog.Recording{Program: prog.Name, Epochs: []*dplog.EpochLog{ep}}
 	return &UniResult{
 		Cycles:    uni.Cycles,
 		Retired:   int64(total),
 		Slices:    len(uni.Log),
-		Syscalls:  len(ros.log),
+		Syscalls:  len(ep.Syscalls),
 		LogBytes:  rec.ReplaySize(),
 		FinalHash: m.StateHash(),
 		Faults:    m.Faults(),

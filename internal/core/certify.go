@@ -59,6 +59,28 @@ func ParseVerifyPolicy(s string) (VerifyPolicy, error) {
 	return VerifyAlways, fmt.Errorf("core: unknown verify policy %q (want always or certified)", s)
 }
 
+// certify makes the VerifyCertified decision once, before recording. It
+// returns the static certificate (nil under VerifyAlways) and whether
+// every epoch may commit directly from the logged thread-parallel
+// execution — only under a race-free certificate — or else why not: any
+// other status, or an option that needs the epoch-parallel pass
+// regardless, falls back to full verification.
+func certify(prog *vm.Program, opt Options) (cert *analyze.Certificate, skip bool, fallback string) {
+	if opt.VerifyPolicy != VerifyCertified {
+		return nil, false, ""
+	}
+	cert = Certify(prog)
+	switch {
+	case opt.DetectRaces:
+		return cert, false, "race detection requires the epoch-parallel pass"
+	case opt.DisableSyncEnforcement:
+		return cert, false, "sync-order enforcement disabled; the certificate assumes the gate"
+	case !cert.RaceFree():
+		return cert, false, fmt.Sprintf("certificate is %s, not race-free", cert.Status)
+	}
+	return cert, true, ""
+}
+
 // Certify runs the static analyzer over prog and returns its
 // race-freedom certificate — the exact decision input Record uses under
 // VerifyCertified.

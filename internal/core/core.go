@@ -9,15 +9,21 @@
 // an epoch boundary, forward recovery adopts the epoch-parallel state as
 // the truth and resumes the thread-parallel run from it.
 //
-// This package owns the recording control loop and everything only it can
-// know: epoch boundary placement, the verification pipeline's timing model
-// ([Options.SpareCPUs], or the adaptive spare-core controller behind
-// [Options.Adaptive] — see adaptive.go), divergence detection and both
-// forward-recovery strategies, and the per-run aggregates in [Stats]. When [Options.Trace]
-// or [Options.Metrics] is set, the recorder additionally narrates the run
-// — epoch/verify/commit spans, checkpoint and divergence events, log-append
-// instants — without perturbing a single simulated cycle (see
-// internal/trace and docs/OBSERVABILITY.md).
+// [Record] takes every epoch through three stages. produce runs the epoch
+// thread-parallel, charges its logging and checkpoint costs, and captures
+// its end boundary and input log. verify runs the epoch-parallel execution
+// through internal/epoch's executor — the same one replay uses — or skips
+// it under a race-free certificate (certify.go), and returns a verdict:
+// verified, adopted state, re-run epoch, or skipped. Apart from feeding
+// the race detector, it changes no recorder state. commit is the one path for every verdict: it logs the epoch,
+// places its verification in the pipeline timing model ([Options.SpareCPUs],
+// or the adaptive spare-core controller behind [Options.Adaptive] — see
+// adaptive.go), grows or resets the epoch length, feeds the controller,
+// and after a divergence resumes the thread-parallel run from the adopted
+// boundary. When [Options.Trace] or [Options.Metrics] is set, the recorder
+// additionally narrates the run — epoch/verify/commit spans, checkpoint
+// and divergence events, log-append instants — without perturbing a single
+// simulated cycle (see internal/trace and docs/OBSERVABILITY.md).
 package core
 
 import (
@@ -284,42 +290,6 @@ func (r *Result) ThinBoundaries(stride int) []*epoch.Boundary {
 	return replay.Thin(r.Boundaries, stride)
 }
 
-// recordOS wraps the simulated OS and appends every retired syscall to the
-// current epoch's log, emitting a "syscall" trace instant per append when a
-// sink is attached.
-type recordOS struct {
-	inner vm.SyscallHandler
-	cur   *[]dplog.SyscallRecord
-	tr    trace.Recorder
-	trPid int64
-}
-
-func (r *recordOS) Syscall(m *vm.Machine, t *vm.Thread, num vm.Word, args [6]vm.Word) vm.SysResult {
-	res := r.inner.Syscall(m, t, num, args)
-	if !res.Block && res.Fault == "" {
-		*r.cur = append(*r.cur, dplog.SyscallRecord{
-			Tid: t.ID, Num: num, Args: args, Ret: res.Ret, Writes: res.Writes,
-		})
-		if trace.Enabled(r.tr) {
-			r.tr.Instant("syscall", m.Now, r.trPid, int64(t.ID), map[string]any{"num": num})
-		}
-	}
-	return res
-}
-
-// sysLogCost prices recording a batch of syscall records: a flat append
-// plus a fraction of the input data copied into the log buffer.
-func sysLogCost(recs []dplog.SyscallRecord, c *vm.CostModel) int64 {
-	var cost int64
-	for i := range recs {
-		cost += c.SysLogEvent
-		for _, w := range recs[i].Writes {
-			cost += int64(len(w.Data)) / 8
-		}
-	}
-	return cost
-}
-
 // pipeline models when each epoch's epoch-parallel execution runs and
 // finishes, given the spare cores available. With spare cores it is an
 // event-driven machine: an epoch starts when its start checkpoint exists
@@ -346,16 +316,6 @@ func newPipeline(spare, recordCPUs int) *pipeline {
 		p.active = spare
 	}
 	return p
-}
-
-// newAdaptivePipeline allocates maxSlots slots with only the first active
-// ones initially unparked.
-func newAdaptivePipeline(maxSlots, active, recordCPUs int) *pipeline {
-	return &pipeline{
-		spares:     make([]int64, maxSlots),
-		active:     active,
-		recordCPUs: recordCPUs,
-	}
 }
 
 // setActive parks or unparks slots at simulated cycle now. An unparked
@@ -419,16 +379,6 @@ func (p *pipeline) schedule(startReady, checkReady, dur int64) placement {
 	return placement{slot: -1, start: start, finish: fin}
 }
 
-// slotTid maps a pipeline slot to its trace track id within the record
-// process: tid 0 is the epoch/recovery track, spare slot s is tid 1+s, and
-// the utilized configuration's smeared epoch work shares tid 1.
-func slotTid(slot int) int64 {
-	if slot < 0 {
-		return 1
-	}
-	return int64(1 + slot)
-}
-
 func (p *pipeline) completion(tpFinish int64) int64 {
 	fin := tpFinish
 	if len(p.spares) == 0 {
@@ -442,652 +392,579 @@ func (p *pipeline) completion(tpFinish int64) int64 {
 
 // Record performs a uniparallel recording of prog against world. The world
 // is mutated; pass a freshly built one.
+//
+// Every epoch passes through three stages: produce runs it thread-parallel
+// and logs its inputs, verify decides its outcome without touching the
+// recorder's state, and commit applies that outcome — the one path every
+// epoch takes into the log, the pipeline model and the controller.
 func Record(prog *vm.Program, world *simos.World, opt Options) (*Result, error) {
-	opt = opt.withDefaults()
-	costs := opt.Costs
-
-	// Normalize the recorder so every tr.Enabled() below is safe: a nil
-	// interface becomes the canonical disabled sink (a typed-nil *Sink,
-	// whose methods are nil-safe no-ops).
-	tr := opt.Trace
-	if tr == nil {
-		tr = (*trace.Sink)(nil)
-	}
-	reg := opt.Metrics
-	var wl string // workload label for metrics
-	if reg != nil {
-		wl = trace.Label("workload", prog.Name)
-	}
-	// Static race-freedom certification. Under VerifyCertified a race-free
-	// certificate lets every epoch commit directly from the logged
-	// thread-parallel execution; any other status — or an option that needs
-	// the epoch-parallel pass regardless — falls back to full verification
-	// with the reason recorded in Stats.VerifyFallback.
-	var cert *analyze.Certificate
-	certified := false
-	fallback := ""
-	if opt.VerifyPolicy == VerifyCertified {
-		cert = analyze.Run(prog).Cert
-		switch {
-		case opt.DetectRaces:
-			fallback = "race detection requires the epoch-parallel pass"
-		case opt.DisableSyncEnforcement:
-			fallback = "sync-order enforcement disabled; the certificate assumes the gate"
-		case !cert.RaceFree():
-			fallback = fmt.Sprintf("certificate is %s, not race-free", cert.Status)
-		default:
-			certified = true
+	r := newRecorder(prog, world, opt.withDefaults())
+	for !r.m.Done() {
+		if ctx := r.opt.Context; ctx != nil && ctx.Err() != nil {
+			return nil, fmt.Errorf("%w after %d epochs: %w", ErrCanceled, len(r.rec.Epochs), ctx.Err())
 		}
+		if len(r.boundaries) > r.opt.MaxEpochs {
+			return nil, fmt.Errorf("%w: exceeded %d; runaway guest?", ErrTooManyEpochs, r.opt.MaxEpochs)
+		}
+		p, err := r.produce()
+		if err != nil {
+			return nil, err
+		}
+		o, err := r.verify(p)
+		if err != nil {
+			return nil, err
+		}
+		r.commit(p, o)
+	}
+	return r.result(), nil
+}
+
+// recorder is the state of one Record call.
+type recorder struct {
+	prog *vm.Program
+	opt  Options
+	tr   trace.Recorder // never nil: a disabled sink stands in for none
+	reg  *trace.Registry
+	wl   string // workload label for metrics
+
+	cert      *analyze.Certificate
+	certified bool // every epoch commits without the epoch-parallel pass
+	ctl       *Controller
+	pl        *pipeline
+	det       *race.Detector
+	liveProf  *profile.Profiler // certified runs profile the thread-parallel run
+
+	pidRec, pidGuest int64
+
+	// The live thread-parallel execution and the logger of its inputs.
+	m   *vm.Machine
+	par *sched.Parallel
+	lg  *epoch.Logger
+
+	boundaries []*epoch.Boundary
+	rec        *dplog.Recording
+	stats      Stats
+	divs       []DivergenceInfo
+	epochLen   int64
+}
+
+func newRecorder(prog *vm.Program, world *simos.World, opt Options) *recorder {
+	r := &recorder{
+		prog: prog, opt: opt, tr: opt.Trace, reg: opt.Metrics, epochLen: opt.EpochCycles,
+		rec: &dplog.Recording{Program: prog.Name, Workers: opt.Workers, Seed: opt.Seed, Quantum: opt.Quantum},
+	}
+	if r.tr == nil {
+		r.tr = (*trace.Sink)(nil) // typed-nil: its methods are nil-safe no-ops
+	}
+	if r.reg != nil {
+		r.wl = trace.Label("workload", prog.Name)
+	}
+	r.cert, r.certified, r.stats.VerifyFallback = certify(prog, opt)
+	if r.cert != nil {
+		r.stats.CertStatus = string(r.cert.Status)
 	}
 	// The adaptive controller replaces the fixed slot count: SpareCPUs
 	// becomes the starting point, and the pipeline gets MaxSpares slots of
 	// which only the controller's active count take work. A certified run
 	// has no verification pipeline to pace, so the controller stays off.
-	var ctl *Controller
 	slots := opt.SpareCPUs
-	if opt.Adaptive && !certified {
-		ctl = NewController(opt.AdaptiveMinSpares, opt.AdaptiveMaxSpares, opt.SpareCPUs)
+	if opt.Adaptive && !r.certified {
+		r.ctl = NewController(opt.AdaptiveMinSpares, opt.AdaptiveMaxSpares, opt.SpareCPUs)
 		slots = opt.AdaptiveMaxSpares
 	}
-	var pidRec, pidGuest int64
-	if tr.Enabled() {
-		pidRec = tr.AllocPid("record " + prog.Name)
-		pidGuest = tr.AllocPid("guest " + prog.Name + " (thread-parallel)")
-		tr.NameThread(pidRec, 0, "epochs + recovery")
-		if slots > 0 {
-			for s := 0; s < slots; s++ {
-				tr.NameThread(pidRec, int64(1+s), fmt.Sprintf("pipeline slot %d", s))
-			}
-		} else {
-			tr.NameThread(pidRec, 1, "epoch work (shared cores)")
-		}
-		if ctl != nil {
-			tr.Instant("ctl.enable", 0, pidRec, 0, map[string]any{
-				"min": ctl.Min, "max": ctl.Max, "active": ctl.Active(),
-			})
-			tr.Counter("ctl.active", 0, pidRec, int64(ctl.Active()))
-		}
-		if cert != nil {
-			tr.Instant("certify", 0, pidRec, 0, map[string]any{
-				"status": string(cert.Status), "skip": certified, "fallback": fallback,
-			})
-		}
+	r.pl = newPipeline(slots, opt.RecordCPUs)
+	if r.ctl != nil {
+		r.pl.setActive(r.ctl.Active(), 0)
 	}
-
-	var curSys []dplog.SyscallRecord
-	var curSync []dplog.SyncRecord
-	var curSigs []dplog.SignalRecord
-
-	liveWorld := world
-	ros := &recordOS{inner: simos.NewOS(liveWorld), cur: &curSys, tr: tr, trPid: pidGuest}
-
-	var m *vm.Machine
-	syncHook := func(ev vm.SyncEvent) {
-		if ev.Gated() {
-			curSync = append(curSync, dplog.SyncRecord{Tid: ev.Tid, Kind: ev.Obj.Kind, ID: ev.Obj.ID})
-			if tr.Enabled() {
-				tr.Instant("sync", m.Now, pidGuest, int64(ev.Tid),
-					map[string]any{"kind": ev.Obj.Kind.String(), "id": ev.Obj.ID})
-			}
-		}
+	if opt.DetectRaces {
+		r.det = race.NewDetector(0)
 	}
+	r.traceStart()
 
-	m = vm.NewMachine(prog, ros, costs)
-	m.Hooks.OnSync = syncHook
-	// Signal deliveries come from the world's script and are logged with
-	// the exact retired-instruction position they interrupted.
-	sigHook := func(t *vm.Thread) (vm.Word, bool) {
-		sig, ok := liveWorld.NextSignal(t.ID, m.Now)
-		if ok {
-			curSigs = append(curSigs, dplog.SignalRecord{Tid: t.ID, Retired: t.Retired, Sig: sig})
-			if tr.Enabled() {
-				tr.Instant("signal", m.Now, pidGuest, int64(t.ID),
-					map[string]any{"sig": sig, "retired": t.Retired})
-			}
-		}
-		return sig, ok
-	}
-	m.Hooks.PendingSignal = sigHook
+	m := vm.NewMachine(prog, nil, opt.Costs)
 	// Certified recordings log the thread-parallel execution itself, so the
 	// guest profile is gathered there; otherwise it comes from the
-	// epoch-parallel runs below — the execution the log actually describes
-	// and replay reproduces.
-	var liveProf *profile.Profiler
-	if opt.Profile != nil && certified {
-		liveProf = profile.New(prog)
-		liveProf.Attach(m)
+	// epoch-parallel runs — the execution the log actually describes and
+	// replay reproduces.
+	if opt.Profile != nil && r.certified {
+		r.liveProf = profile.New(prog)
+		r.liveProf.Attach(m)
 	}
-	par := sched.NewParallel(m, opt.RecordCPUs, opt.Seed)
-	par.Trace = tr
-	par.TracePid = pidGuest
-
-	boundaries := []*epoch.Boundary{epoch.Capture(0, 0, m, liveWorld)}
-	if tr.Enabled() {
-		tr.Instant("checkpoint.create", 0, pidRec, 0,
-			map[string]any{"epoch": 0, "pages": boundaries[0].MappedPages})
+	r.run(m, world, opt.Seed, 0)
+	r.boundaries = []*epoch.Boundary{epoch.Capture(0, 0, m, world)}
+	if r.tr.Enabled() {
+		r.tr.Instant("checkpoint.create", 0, r.pidRec, 0,
+			map[string]any{"epoch": 0, "pages": r.boundaries[0].MappedPages})
 	}
-	rec := &dplog.Recording{Program: prog.Name, Workers: opt.Workers, Seed: opt.Seed, Quantum: opt.Quantum}
-	pl := newPipeline(opt.SpareCPUs, opt.RecordCPUs)
-	if ctl != nil {
-		pl = newAdaptivePipeline(slots, ctl.Active(), opt.RecordCPUs)
+	return r
+}
+
+// traceStart names the record process's tracks and notes the run's
+// configuration.
+func (r *recorder) traceStart() {
+	tr := r.tr
+	if !tr.Enabled() {
+		return
 	}
-	var stats Stats
-	if cert != nil {
-		stats.CertStatus = string(cert.Status)
-		stats.VerifyFallback = fallback
+	r.pidRec = tr.AllocPid("record " + r.prog.Name)
+	r.pidGuest = tr.AllocPid("guest " + r.prog.Name + " (thread-parallel)")
+	tr.NameThread(r.pidRec, 0, "epochs + recovery")
+	if len(r.pl.spares) > 0 {
+		for s := range r.pl.spares {
+			tr.NameThread(r.pidRec, int64(1+s), fmt.Sprintf("pipeline slot %d", s))
+		}
+	} else {
+		tr.NameThread(r.pidRec, 1, "epoch work (shared cores)")
 	}
-	var det *race.Detector
-	if opt.DetectRaces {
-		det = race.NewDetector(0)
+	if r.ctl != nil {
+		tr.Instant("ctl.enable", 0, r.pidRec, 0, map[string]any{
+			"min": r.ctl.Min, "max": r.ctl.Max, "active": r.ctl.Active(),
+		})
+		tr.Counter("ctl.active", 0, r.pidRec, int64(r.ctl.Active()))
 	}
-	var divInfo []DivergenceInfo
+	if r.cert != nil {
+		tr.Instant("certify", 0, r.pidRec, 0, map[string]any{
+			"status": string(r.cert.Status), "skip": r.certified, "fallback": r.stats.VerifyFallback,
+		})
+	}
+}
 
-	epochLen := opt.EpochCycles
-	for !m.Done() {
-		if opt.Context != nil {
-			if err := opt.Context.Err(); err != nil {
-				return nil, fmt.Errorf("%w after %d epochs: %w", ErrCanceled, len(rec.Epochs), err)
-			}
-		}
-		if len(boundaries) > opt.MaxEpochs {
-			return nil, fmt.Errorf("core: exceeded %d epochs; runaway guest?", opt.MaxEpochs)
-		}
-		// Thread-parallel execution of one epoch.
-		next := boundaries[len(boundaries)-1].Cycle + epochLen
-		var runErr error
-		profile.WithPhase(opt.Context, "record", func() { runErr = par.RunUntil(next) })
-		if runErr != nil {
-			return nil, fmt.Errorf("core: thread-parallel run failed: %w", runErr)
-		}
+// run makes m, whose inputs come from world w, the live thread-parallel
+// execution: scheduled on the record CPUs with the given seed, its clocks
+// starting at clock.
+func (r *recorder) run(m *vm.Machine, w *simos.World, seed, clock int64) {
+	r.lg = epoch.NewLogger(w, r.tr, r.pidGuest)
+	r.lg.Attach(m)
+	m.Hooks.OnSync = r.lg.OnSync
+	r.m = m
+	r.par = sched.NewParallel(m, r.opt.RecordCPUs, seed)
+	r.par.Trace = r.tr
+	r.par.TracePid = r.pidGuest
+	r.par.SetBaseClock(clock)
+}
 
-		// Charge the record-time costs this epoch accrued: log appends,
-		// copy-on-write traffic behind the last checkpoint, and the
-		// checkpoint we are about to take.
-		cow := m.Mem.Stats().PagesCopied
-		m.Mem.ResetStats()
-		mapped := int64(m.Mem.PageCount())
-		par.AddCost(int64(len(curSync)+len(curSigs))*costs.SyncLogEvent +
-			sysLogCost(curSys, costs) +
-			costs.CheckpointBase + costs.CheckpointPage*mapped +
-			cow*costs.CowCopyPage)
-		stats.CheckpointPages += mapped
-		stats.CowPages += cow
+// produced is one epoch of the thread-parallel execution: its input log
+// and the checkpoints that bound it.
+type produced struct {
+	ep          *dplog.EpochLog
+	start, end  *epoch.Boundary
+	mapped, cow int64 // the end checkpoint's pages, and pages copied on write this epoch
+}
 
-		b := epoch.Capture(len(boundaries), par.Now(), m, liveWorld)
-		boundaries = append(boundaries, b)
-		i := len(boundaries) - 2
-		start := boundaries[i]
-
-		ep := &dplog.EpochLog{
-			Index:     i,
-			Targets:   b.Targets(),
-			SyncOrder: curSync,
-			Syscalls:  curSys,
-			Signals:   curSigs,
-			StartHash: start.Hash,
-		}
-		stats.SyncEvents += len(curSync)
-		stats.Syscalls += len(curSys)
-		stats.Signals += len(curSigs)
-		curSync = nil
-		curSys = nil
-		curSigs = nil
-
-		if tr.Enabled() {
-			// The thread-parallel execution of epoch i, and the log-append
-			// running totals at its boundary. The epoch span count always
-			// equals Stats.Epochs: every loop iteration logs exactly one.
-			tr.Span("epoch", start.Cycle, b.Cycle-start.Cycle, pidRec, 0, map[string]any{
-				"epoch": i, "syscalls": len(ep.Syscalls), "syncops": len(ep.SyncOrder),
-				"signals": len(ep.Signals),
-			})
-			tr.Instant("checkpoint.create", b.Cycle, pidRec, 0,
-				map[string]any{"epoch": i + 1, "pages": mapped, "cow_pages": cow})
-			tr.Counter("log.syscalls", b.Cycle, pidRec, int64(stats.Syscalls))
-			tr.Counter("log.syncops", b.Cycle, pidRec, int64(stats.SyncEvents))
-			tr.Counter("log.signals", b.Cycle, pidRec, int64(stats.Signals))
-			tr.Counter("mem.pages", b.Cycle, pidRec, mapped)
-		}
-
-		if certified {
-			// Certified commit: the certificate proves every
-			// sync-order-respecting execution reaches this boundary state, so
-			// the logged thread-parallel execution IS the verified execution.
-			// No epoch-parallel pass, no comparison, no pipeline occupancy —
-			// the epoch commits at its own boundary, and replay free-runs it
-			// under the SyncOrder gate (any mismatch there is a soundness
-			// bug, surfaced as replay.ErrCertViolated, never a divergence).
-			ep.EndHash = b.Hash
-			ep.Certified = true
-			ep.CommitHash = b.World.OutputHash()
-			rec.Epochs = append(rec.Epochs, ep)
-			stats.VerifySkipped++
-			if tr.Enabled() {
-				tr.Instant("epoch.verify.skipped", b.Cycle, pidRec, 0,
-					map[string]any{"epoch": i, "cert": string(cert.Status)})
-				tr.Instant("epoch.commit", b.Cycle, pidRec, 0,
-					map[string]any{"epoch": i, "lag": int64(0)})
-			}
-			if reg != nil {
-				reg.Add("record.verify_skipped", 1, wl)
-				reg.Observe("epoch.syscalls", int64(len(ep.Syscalls)), wl)
-				reg.Observe("epoch.syncops", int64(len(ep.SyncOrder)), wl)
-				reg.Observe("checkpoint.pages", mapped, wl)
-				reg.Add("record.cow_pages", cow, wl)
-			}
-			if opt.EpochGrowth > 1 {
-				grown := int64(float64(epochLen) * opt.EpochGrowth)
-				if grown > opt.EpochCyclesMax {
-					grown = opt.EpochCyclesMax
-				}
-				epochLen = grown
-			}
-			continue
-		}
-
-		// Epoch-parallel execution of epoch i, constrained and injected.
-		// With tracing on, its timeslices accumulate in a buffer with
-		// epoch-local timestamps, spliced below once the pipeline places
-		// the epoch in simulated time.
-		var epbuf *trace.Sink
-		if tr.Enabled() {
-			epbuf = trace.NewSink()
-		}
-		spec := epoch.RunSpec{
-			Prog:               prog,
-			Start:              start,
-			Targets:            ep.Targets,
-			SyncOrder:          ep.SyncOrder,
-			Syscalls:           ep.Syscalls,
-			Signals:            ep.Signals,
-			Quantum:            opt.Quantum,
-			Costs:              costs,
-			DisableEnforcement: opt.DisableSyncEnforcement,
-			Trace:              epbuf,
-		}
-		if det != nil {
-			spec.OnSync = det.OnSync
-			spec.OnMemAccess = det.OnMemAccess
-		}
-		var epProf *profile.Profiler
-		if opt.Profile != nil {
-			epProf = profile.New(prog)
-			spec.Profile = epProf
-		}
-		var res *epoch.RunResult
-		var err error
-		profile.WithPhase(opt.Context, "verify", func() { res, err = epoch.Run(spec) })
-		compareCost := costs.ComparePage * mapped
-		dur := res.Cycles + compareCost
-		stats.EpochSerialCycles += dur
-
-		ep.CommitHash = b.World.OutputHash()
-
-		// pm and commitCyc survive the switch for the adaptive controller:
-		// every path schedules the epoch through the pipeline and commits
-		// it at some cycle, and the controller samples that commit's lag.
-		var pm placement
-		var commitCyc int64
-		switch {
-		case err == nil && res.EndHash == b.Hash:
-			// Verified: the epoch-parallel execution reached the same state.
-			ep.EndHash = b.Hash
-			ep.Schedule = res.Schedule
-			rec.Epochs = append(rec.Epochs, ep)
-			if epProf != nil {
-				opt.Profile.Merge(epProf.Snapshot())
-			}
-			pm = pl.schedule(start.Cycle, b.Cycle, dur)
-			commitCyc = pm.finish
-			traceVerify(tr, pidRec, pm, epbuf, i, dur, true)
-			if tr.Enabled() {
-				tr.Instant("epoch.commit", pm.finish, pidRec, slotTid(pm.slot),
-					map[string]any{"epoch": i, "lag": pm.finish - b.Cycle})
-			}
-			if opt.EpochGrowth > 1 {
-				grown := int64(float64(epochLen) * opt.EpochGrowth)
-				if grown > opt.EpochCyclesMax {
-					grown = opt.EpochCyclesMax
-				}
-				epochLen = grown
-			}
-
-		case err == nil:
-			// A data race made the epoch-parallel run reach a different —
-			// but equally valid — state. Both runs consumed identical
-			// inputs (injection verified that), so the world snapshot at
-			// the boundary is still correct; only the architectural state
-			// is replaced. Forward recovery: adopt, squash, resume.
-			stats.Divergences++
-			stats.HashRecoveries++
-			pages := res.M.Mem.DiffPages(b.CP.MemSnap.Restore())
-			divInfo = append(divInfo, DivergenceInfo{
-				Epoch: i,
-				Kind:  "state",
-				Pages: pages,
-			})
-			ep.EndHash = res.EndHash
-			ep.Schedule = res.Schedule
-			rec.Epochs = append(rec.Epochs, ep)
-			if epProf != nil {
-				// The epoch-parallel run is the one the log describes, so
-				// its profile stands even though it diverged from the
-				// thread-parallel states.
-				opt.Profile.Merge(epProf.Snapshot())
-			}
-			pm = pl.schedule(start.Cycle, b.Cycle, dur)
-			detect := pm.finish
-			commitCyc = detect
-			stats.SquashedCycles += maxi64(0, detect-b.Cycle)
-			nb := &epoch.Boundary{
-				Index:       b.Index,
-				Cycle:       detect,
-				CP:          res.M.Checkpoint(),
-				World:       b.World,
-				Hash:        res.EndHash,
-				MappedPages: res.M.Mem.PageCount(),
-			}
-			boundaries[len(boundaries)-1] = nb
-			traceVerify(tr, pidRec, pm, epbuf, i, dur, false)
-			if tr.Enabled() {
-				tr.Instant("divergence", detect, pidRec, 0,
-					map[string]any{"epoch": i, "kind": "state", "pages": len(pages)})
-				tr.Instant("recovery.adopt", detect, pidRec, 0, map[string]any{"epoch": i})
-				tr.Instant("epoch.commit", detect, pidRec, slotTid(pm.slot),
-					map[string]any{"epoch": i, "lag": detect - b.Cycle})
-				tr.Instant("checkpoint.create", detect, pidRec, 0,
-					map[string]any{"epoch": nb.Index, "pages": nb.MappedPages, "reason": "recovery.adopt"})
-				tr.Instant("checkpoint.restore", detect, pidRec, 0,
-					map[string]any{"epoch": nb.Index, "reason": "recovery.adopt"})
-			}
-			m, par = resumeFrom(prog, nb, ros, syncHook, sigHook, costs, opt, detect, len(boundaries), pidGuest)
-			liveWorld = currentWorld(ros)
-			epochLen = opt.EpochCycles // divergence: back to short epochs
-
-		case epoch.IsDivergence(err):
-			// The epoch-parallel run departed before the boundary (syscall
-			// or sync-order mismatch). Roll the world back to the epoch
-			// start — the simulator analogue of the paper's buffered-input
-			// redelivery — and re-execute the epoch uniprocessor against
-			// the real OS. That free run becomes the epoch's log and its
-			// end state becomes the truth.
-			stats.Divergences++
-			stats.RerunRecoveries++
-			divInfo = append(divInfo, DivergenceInfo{Epoch: i, Kind: "input", Reason: err.Error()})
-			quota := sumTargets(ep.Targets) - sumRetired(start.CP)
-			var rrbuf *trace.Sink
-			if tr.Enabled() {
-				rrbuf = trace.NewSink()
-			}
-			reb, rr, rerr := rerunEpoch(prog, start, quota, costs, opt, rrbuf)
-			if rerr != nil {
-				return nil, fmt.Errorf("core: forward recovery of epoch %d failed: %w", i, rerr)
-			}
-			rcycles := rr.cycles
-			ep.Targets = reb.Targets()
-			ep.SyncOrder = nil
-			ep.Syscalls = rr.sys
-			ep.Signals = rr.sigs
-			ep.Schedule = rr.sched
-			ep.EndHash = reb.Hash
-			ep.CommitHash = reb.World.OutputHash()
-			rec.Epochs = append(rec.Epochs, ep)
-			pm = pl.schedule(start.Cycle, b.Cycle, dur)
-			detect := pm.finish + rcycles
-			commitCyc = detect
-			stats.SquashedCycles += maxi64(0, detect-b.Cycle)
-			stats.EpochSerialCycles += rcycles
-			reb.Cycle = detect
-			boundaries[len(boundaries)-1] = reb
-			traceVerify(tr, pidRec, pm, epbuf, i, dur, false)
-			if tr.Enabled() {
-				tr.Instant("divergence", pm.finish, pidRec, 0,
-					map[string]any{"epoch": i, "kind": "input", "reason": err.Error()})
-				tr.Instant("checkpoint.restore", pm.finish, pidRec, 0,
-					map[string]any{"epoch": i, "reason": "recovery.rerun"})
-				tr.Span("recovery.rerun", pm.finish, rcycles, pidRec, 0, map[string]any{"epoch": i})
-				tr.Splice(rrbuf, pm.finish, pidRec, 0)
-				tr.Instant("checkpoint.create", detect, pidRec, 0,
-					map[string]any{"epoch": reb.Index, "pages": reb.MappedPages, "reason": "recovery.rerun"})
-				tr.Instant("epoch.commit", detect, pidRec, 0,
-					map[string]any{"epoch": i, "lag": detect - b.Cycle})
-				tr.Instant("checkpoint.restore", detect, pidRec, 0,
-					map[string]any{"epoch": reb.Index, "reason": "resume"})
-			}
-			m, par = resumeFrom(prog, reb, ros, syncHook, sigHook, costs, opt, detect, len(boundaries), pidGuest)
-			liveWorld = currentWorld(ros)
-			epochLen = opt.EpochCycles // divergence: back to short epochs
-
-		default:
-			return nil, fmt.Errorf("core: epoch %d verification failed: %w", i, err)
-		}
-
-		if ctl != nil {
-			// One sample per epoch boundary: the commit lag the pipeline
-			// model assigned this epoch, and whether it waited for a slot.
-			// A decision parks or unparks slots before the next epoch is
-			// scheduled; the unparked core is only available from here on.
-			lag := commitCyc - b.Cycle
-			if dec := ctl.Observe(i, lag, pm.waited, opt.EpochCycles); dec != 0 {
-				pl.setActive(ctl.Active(), commitCyc)
-				if tr.Enabled() {
-					name := "ctl.grow"
-					if dec < 0 {
-						name = "ctl.shrink"
-					}
-					tr.Instant(name, commitCyc, pidRec, 0, map[string]any{
-						"epoch": i, "active": ctl.Active(), "lag": lag,
-					})
-					tr.Counter("ctl.active", commitCyc, pidRec, int64(ctl.Active()))
-				}
-				if reg != nil {
-					if dec > 0 {
-						reg.Add("ctl.grows", 1, wl)
-					} else {
-						reg.Add("ctl.shrinks", 1, wl)
-					}
-					reg.Set("ctl.active_spares", float64(ctl.Active()), wl)
-				}
-			}
-		}
-
-		if reg != nil {
-			reg.Observe("epoch.cycles", dur, wl)
-			reg.Observe("epoch.syscalls", int64(len(ep.Syscalls)), wl)
-			reg.Observe("epoch.syncops", int64(len(ep.SyncOrder)), wl)
-			reg.Observe("checkpoint.pages", mapped, wl)
-			reg.Add("record.cow_pages", cow, wl)
-			reg.Set("epoch.duration_cycles", float64(dur), wl, trace.Label("epoch", i))
-		}
+// produce runs the next epoch thread-parallel, charges what recording it
+// cost, and captures its end boundary.
+func (r *recorder) produce() (*produced, error) {
+	costs := r.opt.Costs
+	start := r.boundaries[len(r.boundaries)-1]
+	var err error
+	profile.WithPhase(r.opt.Context, "record", func() { err = r.par.RunUntil(start.Cycle + r.epochLen) })
+	if err != nil {
+		return nil, fmt.Errorf("core: thread-parallel run failed: %w", err)
 	}
 
-	if liveProf != nil {
-		opt.Profile.Merge(liveProf.Snapshot())
+	// Charge the record-time costs this epoch accrued: log appends,
+	// copy-on-write traffic behind the last checkpoint, and the checkpoint
+	// we are about to take.
+	p := &produced{start: start, cow: r.m.Mem.Stats().PagesCopied}
+	r.m.Mem.ResetStats()
+	p.mapped = int64(r.m.Mem.PageCount())
+	r.par.AddCost(r.lg.Cost(costs) +
+		costs.CheckpointBase + costs.CheckpointPage*p.mapped +
+		p.cow*costs.CowCopyPage)
+	r.stats.CheckpointPages += p.mapped
+	r.stats.CowPages += p.cow
+
+	p.end = epoch.Capture(len(r.boundaries), r.par.Now(), r.m, r.lg.World())
+	p.ep = r.lg.Take()
+	p.ep.Index, p.ep.Targets, p.ep.StartHash = start.Index, p.end.Targets(), start.Hash
+	r.stats.SyncEvents += len(p.ep.SyncOrder)
+	r.stats.Syscalls += len(p.ep.Syscalls)
+	r.stats.Signals += len(p.ep.Signals)
+
+	if tr := r.tr; tr.Enabled() {
+		// The thread-parallel execution of the epoch, and the log-append
+		// running totals at its boundary. The epoch span count always
+		// equals Stats.Epochs: every epoch is produced once.
+		tr.Span("epoch", start.Cycle, p.end.Cycle-start.Cycle, r.pidRec, 0, map[string]any{
+			"epoch": p.ep.Index, "syscalls": len(p.ep.Syscalls), "syncops": len(p.ep.SyncOrder),
+			"signals": len(p.ep.Signals),
+		})
+		tr.Instant("checkpoint.create", p.end.Cycle, r.pidRec, 0,
+			map[string]any{"epoch": p.end.Index, "pages": p.mapped, "cow_pages": p.cow})
+		tr.Counter("log.syscalls", p.end.Cycle, r.pidRec, int64(r.stats.Syscalls))
+		tr.Counter("log.syncops", p.end.Cycle, r.pidRec, int64(r.stats.SyncEvents))
+		tr.Counter("log.signals", p.end.Cycle, r.pidRec, int64(r.stats.Signals))
+		tr.Counter("mem.pages", p.end.Cycle, r.pidRec, p.mapped)
 	}
-	last := boundaries[len(boundaries)-1]
+	return p, nil
+}
+
+// verdict is how verification settled an epoch.
+type verdict uint8
+
+const (
+	verified verdict = iota // the epoch-parallel run reached the boundary state
+	adopted                 // a data race: it reached another state, adopted as the truth
+	rerun                   // it departed before the boundary; the epoch was re-executed
+	skipped                 // certified: no epoch-parallel run at all
+)
+
+// outcome is verify's decision for one produced epoch.
+type outcome struct {
+	verdict
+	ep   *dplog.EpochLog  // the epoch as logged
+	end  *epoch.Boundary  // the boundary the log ends at; its Cycle is set at commit when it replaces the produced one
+	dur  int64            // the epoch-parallel run plus the boundary comparison
+	re   int64            // the re-execution's cycles, after an input divergence
+	prof *profile.Profile // the guest profile of the logged execution
+	div  *DivergenceInfo
+
+	buf, reBuf *trace.Sink // epoch-local timeslices of the two runs
+}
+
+// verify runs the produced epoch's epoch-parallel execution and compares
+// it with the thread-parallel one; after an input divergence it also
+// re-executes the epoch (rerun). Under a race-free certificate it skips
+// the run. It settles only the produced epoch and its outcome: apart from
+// feeding the race detector, recorder state is commit's to change.
+func (r *recorder) verify(p *produced) (*outcome, error) {
+	o := &outcome{ep: p.ep, end: p.end}
+	p.ep.CommitHash = p.end.World.OutputHash()
+	if r.certified {
+		// The certificate proves every sync-order-respecting execution
+		// reaches this boundary state, so the logged thread-parallel
+		// execution IS the verified execution: no epoch-parallel pass, no
+		// comparison, no pipeline occupancy. Replay free-runs the epoch
+		// under the SyncOrder gate, where any mismatch is a soundness bug
+		// (replay.ErrCertViolated), never a divergence.
+		o.verdict = skipped
+		p.ep.EndHash = p.end.Hash
+		p.ep.Certified = true
+		return o, nil
+	}
+
+	// The epoch-parallel execution, constrained and injected. With
+	// tracing on, its timeslices accumulate in a buffer with epoch-local
+	// timestamps, spliced at commit once the pipeline places the epoch.
+	if r.tr.Enabled() {
+		o.buf = trace.NewSink()
+	}
+	spec := epoch.RunSpec{
+		Prog:               r.prog,
+		Start:              p.start,
+		Epoch:              p.ep,
+		Quantum:            r.opt.Quantum,
+		Costs:              r.opt.Costs,
+		DisableEnforcement: r.opt.DisableSyncEnforcement,
+		Trace:              o.buf,
+	}
+	if r.det != nil {
+		spec.OnSync = r.det.OnSync
+		spec.OnMemAccess = r.det.OnMemAccess
+	}
+	var prof *profile.Profiler
+	if r.opt.Profile != nil {
+		prof = profile.New(r.prog)
+		spec.Profile = prof
+	}
+	var res *epoch.RunResult
+	var err error
+	profile.WithPhase(r.opt.Context, "verify", func() { res, err = epoch.Run(spec) })
+	o.dur = res.Cycles + r.opt.Costs.ComparePage*p.mapped
+
+	switch {
+	case err == nil && res.EndHash == p.end.Hash:
+		o.verdict = verified
+	case err == nil:
+		// A data race made the epoch-parallel run reach a different — but
+		// equally valid — state. Both runs consumed identical inputs
+		// (injection verified that), so the world snapshot at the boundary
+		// is still correct; only the architectural state is replaced.
+		o.verdict = adopted
+		o.div = &DivergenceInfo{Epoch: p.ep.Index, Kind: "state",
+			Pages: res.M.Mem.DiffPages(p.end.CP.MemSnap.Restore())}
+		o.end = &epoch.Boundary{
+			Index:       p.end.Index,
+			CP:          res.M.Checkpoint(),
+			World:       p.end.World,
+			Hash:        res.EndHash,
+			MappedPages: res.M.Mem.PageCount(),
+		}
+	case epoch.IsDivergence(err):
+		o.div = &DivergenceInfo{Epoch: p.ep.Index, Kind: "input", Reason: err.Error()}
+		return o, r.rerun(p, o)
+	default:
+		return nil, fmt.Errorf("core: epoch %d verification failed: %w", p.ep.Index, err)
+	}
+	// The epoch-parallel run is the one the log describes, so its schedule
+	// and profile stand even when it diverged from the thread-parallel
+	// states.
+	p.ep.EndHash = o.end.Hash
+	p.ep.Schedule = res.Schedule
+	if prof != nil {
+		o.prof = prof.Snapshot()
+	}
+	return o, nil
+}
+
+// rerun settles an input divergence: the epoch-parallel run departed
+// before the boundary (syscall or sync-order mismatch). Roll the world
+// back to the epoch start — the simulator analogue of the paper's
+// buffered-input redelivery — and re-execute about one epoch's worth of
+// instructions uniprocessor against the real OS. That free run replaces
+// the epoch in the log, its end state becomes the truth, and it is the
+// run the guest profile describes.
+func (r *recorder) rerun(p *produced, o *outcome) error {
+	o.verdict = rerun
+	if r.tr.Enabled() {
+		o.reBuf = trace.NewSink()
+	}
+	w := p.start.World.Clone()
+	lg := epoch.NewLogger(w, o.reBuf, 0)
+	m := p.start.CP.Restore(r.prog, nil, r.opt.Costs)
+	lg.Attach(m)
+	var prof *profile.Profiler
+	if r.opt.Profile != nil {
+		prof = profile.New(r.prog)
+		prof.Attach(m)
+	}
+	uni := sched.NewUni(m)
+	uni.Quantum = r.opt.Quantum
+	uni.LogSchedule = true
+	uni.Trace = o.reBuf
+	uni.TotalBudget = max(sumRetired(p.end.CP)-sumRetired(p.start.CP), 1)
+	if err := uni.Run(); err != nil && !m.Done() {
+		return fmt.Errorf("core: forward recovery of epoch %d failed: %w", p.ep.Index, err)
+	}
+	o.end = epoch.Capture(p.end.Index, 0, m, w)
+	o.ep = lg.Take()
+	o.ep.Index, o.ep.Targets, o.ep.Schedule = p.ep.Index, o.end.Targets(), uni.Log
+	o.ep.StartHash, o.ep.EndHash, o.ep.CommitHash = p.ep.StartHash, o.end.Hash, o.end.World.OutputHash()
+	o.re = uni.Cycles
+	if prof != nil {
+		o.prof = prof.Snapshot()
+	}
+	return nil
+}
+
+// commit applies an epoch's outcome: it logs the epoch, places its
+// verification in the pipeline model, and, after a divergence, squashes
+// the thread-parallel run and resumes it from the adopted boundary.
+func (r *recorder) commit(p *produced, o *outcome) {
+	r.rec.Epochs = append(r.rec.Epochs, o.ep)
+	if o.prof != nil {
+		r.opt.Profile.Merge(o.prof)
+	}
+	// The epoch commits once its verification, and any re-execution, is
+	// done; a certified epoch at its own boundary.
+	var pm placement
+	at := p.end.Cycle
+	if o.verdict == skipped {
+		r.stats.VerifySkipped++
+	} else {
+		pm = r.pl.schedule(p.start.Cycle, p.end.Cycle, o.dur)
+		at = pm.finish + o.re
+		r.stats.EpochSerialCycles += o.dur + o.re
+	}
+	if o.div != nil {
+		r.stats.Divergences++
+		if o.verdict == adopted {
+			r.stats.HashRecoveries++
+		} else {
+			r.stats.RerunRecoveries++
+		}
+		r.stats.SquashedCycles += max(0, at-p.end.Cycle)
+		r.divs = append(r.divs, *o.div)
+		o.end.Cycle = at
+	}
+	r.boundaries = append(r.boundaries, o.end)
+	r.traceCommit(p, o, pm, at)
+
+	if o.div != nil {
+		// Forward recovery: the thread-parallel run resumes from the
+		// adopted state, with a fresh scheduling seed, at short epochs.
+		r.run(o.end.CP.Restore(r.prog, nil, r.opt.Costs), o.end.World.Clone(),
+			r.opt.Seed+int64(len(r.boundaries))*7919, at)
+		r.epochLen = r.opt.EpochCycles
+	} else if r.opt.EpochGrowth > 1 {
+		r.epochLen = min(int64(float64(r.epochLen)*r.opt.EpochGrowth), r.opt.EpochCyclesMax)
+	}
+	if r.ctl != nil {
+		r.steer(p.ep.Index, at-p.end.Cycle, pm.waited, at)
+	}
+	if reg, wl := r.reg, r.wl; reg != nil {
+		if o.verdict == skipped {
+			reg.Add("record.verify_skipped", 1, wl)
+		} else {
+			reg.Observe("epoch.cycles", o.dur, wl)
+			reg.Set("epoch.duration_cycles", float64(o.dur), wl, trace.Label("epoch", p.ep.Index))
+		}
+		reg.Observe("epoch.syscalls", int64(len(o.ep.Syscalls)), wl)
+		reg.Observe("epoch.syncops", int64(len(o.ep.SyncOrder)), wl)
+		reg.Observe("checkpoint.pages", p.mapped, wl)
+		reg.Add("record.cow_pages", p.cow, wl)
+	}
+}
+
+// traceCommit narrates an epoch's verification and commit at the
+// simulated time the pipeline placed them: the epoch.verify span with the
+// epoch-parallel timeslices, the divergence and recovery, and the commit.
+func (r *recorder) traceCommit(p *produced, o *outcome, pm placement, at int64) {
+	tr, pid, i := r.tr, r.pidRec, p.ep.Index
+	if !tr.Enabled() {
+		return
+	}
+	commit := map[string]any{"epoch": i, "lag": at - p.end.Cycle}
+	// Within the record process, track 0 is epochs and recovery, spare
+	// slot s is track 1+s, and the utilized configuration's epoch work
+	// (slot -1) shares track 1.
+	tid := int64(1 + max(pm.slot, 0))
+	if o.verdict != skipped {
+		// The pipeline span, with the epoch-parallel timeslices spliced at
+		// its start — except in the utilized configuration, whose epoch
+		// work is smeared across the record CPUs.
+		tr.Span("epoch.verify", pm.start, pm.finish-pm.start, pid, tid, map[string]any{
+			"epoch": i, "slot": pm.slot, "cycles": o.dur, "verified": o.verdict == verified,
+		})
+		if pm.slot >= 0 {
+			tr.Splice(o.buf, pm.start, pid, tid)
+		}
+	}
+	switch o.verdict {
+	case skipped:
+		tr.Instant("epoch.verify.skipped", at, pid, 0,
+			map[string]any{"epoch": i, "cert": string(r.cert.Status)})
+		tr.Instant("epoch.commit", at, pid, 0, commit)
+	case verified:
+		tr.Instant("epoch.commit", at, pid, tid, commit)
+	case adopted:
+		tr.Instant("divergence", at, pid, 0,
+			map[string]any{"epoch": i, "kind": "state", "pages": len(o.div.Pages)})
+		tr.Instant("recovery.adopt", at, pid, 0, map[string]any{"epoch": i})
+		tr.Instant("epoch.commit", at, pid, tid, commit)
+		tr.Instant("checkpoint.create", at, pid, 0,
+			map[string]any{"epoch": o.end.Index, "pages": o.end.MappedPages, "reason": "recovery.adopt"})
+		tr.Instant("checkpoint.restore", at, pid, 0,
+			map[string]any{"epoch": o.end.Index, "reason": "recovery.adopt"})
+	case rerun:
+		tr.Instant("divergence", pm.finish, pid, 0,
+			map[string]any{"epoch": i, "kind": "input", "reason": o.div.Reason})
+		tr.Instant("checkpoint.restore", pm.finish, pid, 0,
+			map[string]any{"epoch": i, "reason": "recovery.rerun"})
+		tr.Span("recovery.rerun", pm.finish, o.re, pid, 0, map[string]any{"epoch": i})
+		tr.Splice(o.reBuf, pm.finish, pid, 0)
+		tr.Instant("checkpoint.create", at, pid, 0,
+			map[string]any{"epoch": o.end.Index, "pages": o.end.MappedPages, "reason": "recovery.rerun"})
+		tr.Instant("epoch.commit", at, pid, 0, commit)
+		tr.Instant("checkpoint.restore", at, pid, 0,
+			map[string]any{"epoch": o.end.Index, "reason": "resume"})
+	}
+}
+
+// steer feeds the adaptive controller one sample per epoch boundary: the
+// commit lag the pipeline model assigned the epoch, and whether it waited
+// for a slot. A decision parks or unparks slots before the next epoch is
+// scheduled; an unparked core is only available from the commit on.
+func (r *recorder) steer(i int, lag int64, waited bool, at int64) {
+	dec := r.ctl.Observe(i, lag, waited, r.opt.EpochCycles)
+	if dec == 0 {
+		return
+	}
+	r.pl.setActive(r.ctl.Active(), at)
+	if r.tr.Enabled() {
+		name := "ctl.grow"
+		if dec < 0 {
+			name = "ctl.shrink"
+		}
+		r.tr.Instant(name, at, r.pidRec, 0, map[string]any{
+			"epoch": i, "active": r.ctl.Active(), "lag": lag,
+		})
+		r.tr.Counter("ctl.active", at, r.pidRec, int64(r.ctl.Active()))
+	}
+	if r.reg != nil {
+		if dec > 0 {
+			r.reg.Add("ctl.grows", 1, r.wl)
+		} else {
+			r.reg.Add("ctl.shrinks", 1, r.wl)
+		}
+		r.reg.Set("ctl.active_spares", float64(r.ctl.Active()), r.wl)
+	}
+}
+
+// result closes the recording once the guest has finished.
+func (r *recorder) result() *Result {
+	if r.liveProf != nil {
+		r.opt.Profile.Merge(r.liveProf.Snapshot())
+	}
+	rec, last, st := r.rec, r.boundaries[len(r.boundaries)-1], &r.stats
 	rec.FinalHash = last.Hash
 	rec.OutputHash = last.World.OutputHash()
 
-	stats.Epochs = len(rec.Epochs)
-	stats.Retired = totalRetired(last.CP)
-	stats.Slices = rec.Slices()
-	stats.Syscalls = rec.SyscallCount()
-	stats.SyncEvents = rec.SyncOps()
-	stats.Signals = rec.SignalCount()
-	stats.GuestFaults = m.FaultCount()
-	stats.ThreadParallelCycles = par.WallTime()
-	stats.CompletionCycles = pl.completion(par.WallTime())
-	profile.WithPhase(opt.Context, "commit", func() {
-		stats.ReplayBytes = rec.ReplaySize()
-		stats.FullBytes = rec.FullSize()
-		stats.FileBytes = len(dplog.MarshalBytes(rec))
+	st.Epochs = len(rec.Epochs)
+	st.Retired = int64(sumRetired(last.CP))
+	st.Slices = rec.Slices()
+	st.Syscalls = rec.SyscallCount()
+	st.SyncEvents = rec.SyncOps()
+	st.Signals = rec.SignalCount()
+	st.GuestFaults = r.m.FaultCount()
+	st.ThreadParallelCycles = r.par.WallTime()
+	st.CompletionCycles = r.pl.completion(r.par.WallTime())
+	profile.WithPhase(r.opt.Context, "commit", func() {
+		st.ReplayBytes = rec.ReplaySize()
+		st.FullBytes = rec.FullSize()
+		st.FileBytes = len(dplog.MarshalBytes(rec))
 	})
-	stats.ActiveSpares = opt.SpareCPUs
-	if ctl != nil {
-		stats.ActiveSpares = ctl.Active()
-		stats.SpareGrows = ctl.Grows()
-		stats.SpareShrinks = ctl.Shrinks()
+	st.ActiveSpares = r.opt.SpareCPUs
+	if r.ctl != nil {
+		st.ActiveSpares = r.ctl.Active()
+		st.SpareGrows = r.ctl.Grows()
+		st.SpareShrinks = r.ctl.Shrinks()
 	}
 
-	if tr.Enabled() {
-		tr.Instant("record.done", stats.CompletionCycles, pidRec, 0, map[string]any{
-			"epochs": stats.Epochs, "divergences": stats.Divergences,
-			"syscalls": stats.Syscalls, "replay_bytes": stats.ReplayBytes,
+	if r.tr.Enabled() {
+		r.tr.Instant("record.done", st.CompletionCycles, r.pidRec, 0, map[string]any{
+			"epochs": st.Epochs, "divergences": st.Divergences,
+			"syscalls": st.Syscalls, "replay_bytes": st.ReplayBytes,
 		})
 	}
-	if reg != nil {
+	if reg, wl := r.reg, r.wl; reg != nil {
 		reg.Add("record.runs", 1, wl)
-		reg.Add("record.epochs", int64(stats.Epochs), wl)
-		reg.Add("record.divergences", int64(stats.Divergences), wl)
-		reg.Add("record.syscalls", int64(stats.Syscalls), wl)
-		reg.Add("record.syncops", int64(stats.SyncEvents), wl)
-		reg.Add("record.signals", int64(stats.Signals), wl)
-		reg.Set("record.completion_cycles", float64(stats.CompletionCycles), wl)
-		reg.Set("record.thread_parallel_cycles", float64(stats.ThreadParallelCycles), wl)
-		reg.Set("record.replay_bytes", float64(stats.ReplayBytes), wl)
-		reg.Set("record.file_bytes", float64(stats.FileBytes), wl)
-		if ctl != nil {
-			reg.Set("ctl.active_spares", float64(ctl.Active()), wl)
+		reg.Add("record.epochs", int64(st.Epochs), wl)
+		reg.Add("record.divergences", int64(st.Divergences), wl)
+		reg.Add("record.syscalls", int64(st.Syscalls), wl)
+		reg.Add("record.syncops", int64(st.SyncEvents), wl)
+		reg.Add("record.signals", int64(st.Signals), wl)
+		reg.Set("record.completion_cycles", float64(st.CompletionCycles), wl)
+		reg.Set("record.thread_parallel_cycles", float64(st.ThreadParallelCycles), wl)
+		reg.Set("record.replay_bytes", float64(st.ReplayBytes), wl)
+		reg.Set("record.file_bytes", float64(st.FileBytes), wl)
+		if r.ctl != nil {
+			reg.Set("ctl.active_spares", float64(r.ctl.Active()), wl)
 		}
 	}
 
 	out := &Result{
-		Recording:  rec,
-		Boundaries: boundaries,
-		Stats:      stats,
-		FinalHash:  rec.FinalHash,
-		OutputHash: rec.OutputHash,
+		Recording:   rec,
+		Boundaries:  r.boundaries,
+		Stats:       *st,
+		FinalHash:   rec.FinalHash,
+		OutputHash:  rec.OutputHash,
+		Divergences: r.divs,
+		Certificate: r.cert,
 	}
-	if det != nil {
-		out.Races = det.Races()
+	if r.det != nil {
+		out.Races = r.det.Races()
 	}
-	out.Divergences = divInfo
-	out.Certificate = cert
-	return out, nil
+	return out
 }
 
-// traceVerify emits one epoch's "epoch.verify" pipeline span and splices
-// the epoch-parallel run's buffered timeslices at the span's start. The
-// splice is skipped in the utilized configuration (slot -1), whose epoch
-// work is smeared across the record CPUs rather than run contiguously.
-func traceVerify(tr trace.Recorder, pidRec int64, pm placement, epbuf *trace.Sink, ep int, dur int64, verified bool) {
-	if !trace.Enabled(tr) {
-		return
-	}
-	tid := slotTid(pm.slot)
-	tr.Span("epoch.verify", pm.start, pm.finish-pm.start, pidRec, tid, map[string]any{
-		"epoch": ep, "slot": pm.slot, "cycles": dur, "verified": verified,
-	})
-	if pm.slot >= 0 {
-		tr.Splice(epbuf, pm.start, pidRec, tid)
-	}
-}
-
-// resumeFrom rebuilds the thread-parallel machine and scheduler from an
-// adopted boundary; the live world becomes a clone of the boundary's.
-func resumeFrom(prog *vm.Program, b *epoch.Boundary, ros *recordOS,
-	syncHook func(vm.SyncEvent), sigHook func(*vm.Thread) (vm.Word, bool),
-	costs *vm.CostModel, opt Options, clock int64, salt int, tracePid int64) (*vm.Machine, *sched.Parallel) {
-	w := b.World.Clone()
-	ros.inner = simos.NewOS(w)
-	m := b.CP.Restore(prog, ros, costs)
-	m.Hooks.OnSync = syncHook
-	m.Hooks.PendingSignal = sigHook
-	par := sched.NewParallel(m, opt.RecordCPUs, opt.Seed+int64(salt)*7919)
-	par.Trace = opt.Trace
-	par.TracePid = tracePid
-	par.SetBaseClock(clock)
-	return m, par
-}
-
-// currentWorld digs the live world back out of the record wrapper.
-func currentWorld(ros *recordOS) *simos.World {
-	return ros.inner.(*simos.OS).W
-}
-
-// rerunResult bundles the logs a recovery re-execution produced.
-type rerunResult struct {
-	sched  []dplog.Slice
-	sys    []dplog.SyscallRecord
-	sigs   []dplog.SignalRecord
-	cycles int64
-}
-
-// rerunEpoch performs the re-execution half of forward recovery: a free
-// uniprocessor run of roughly one epoch's worth of instructions from the
-// boundary, against a rolled-back world, with its schedule, syscalls, and
-// signal deliveries recorded. When buf is non-nil the re-execution's
-// timeslices and log appends are traced into it with run-local timestamps;
-// the caller splices them under the "recovery.rerun" span.
-func rerunEpoch(prog *vm.Program, start *epoch.Boundary, quota uint64,
-	costs *vm.CostModel, opt Options, buf *trace.Sink) (*epoch.Boundary, *rerunResult, error) {
-	w := start.World.Clone()
-	rr := &rerunResult{}
-	ros := &recordOS{inner: simos.NewOS(w), cur: &rr.sys, tr: buf}
-	m := start.CP.Restore(prog, ros, costs)
-	// The re-execution replaces the squashed epoch in the log, so it is the
-	// run the guest profile must describe (the squashed epoch-parallel
-	// attempt's profile is discarded by the caller).
-	var prof *profile.Profiler
-	if opt.Profile != nil {
-		prof = profile.New(prog)
-		prof.Attach(m)
-	}
-	m.Hooks.PendingSignal = func(t *vm.Thread) (vm.Word, bool) {
-		sig, ok := w.NextSignal(t.ID, m.Now)
-		if ok {
-			rr.sigs = append(rr.sigs, dplog.SignalRecord{Tid: t.ID, Retired: t.Retired, Sig: sig})
-			if buf.Enabled() {
-				buf.Instant("signal", m.Now, 0, int64(t.ID), map[string]any{"sig": sig, "retired": t.Retired})
-			}
-		}
-		return sig, ok
-	}
-	uni := sched.NewUni(m)
-	uni.Quantum = opt.Quantum
-	uni.LogSchedule = true
-	uni.Trace = buf
-	if quota == 0 {
-		quota = 1
-	}
-	uni.TotalBudget = quota
-	if err := uni.Run(); err != nil && !m.Done() {
-		return nil, nil, err
-	}
-	rr.sched = uni.Log
-	rr.cycles = uni.Cycles
-	if prof != nil {
-		opt.Profile.Merge(prof.Snapshot())
-	}
-	b := epoch.Capture(start.Index+1, 0, m, w)
-	return b, rr, nil
-}
-
-func sumTargets(ts []uint64) uint64 {
-	var n uint64
-	for _, t := range ts {
-		n += t
-	}
-	return n
-}
-
+// sumRetired totals a checkpoint's retired instructions over all threads.
 func sumRetired(cp *vm.Checkpoint) uint64 {
 	var n uint64
 	for _, t := range cp.Threads {
 		n += t.Retired
 	}
 	return n
-}
-
-func totalRetired(cp *vm.Checkpoint) int64 {
-	return int64(sumRetired(cp))
-}
-
-func maxi64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // NativeResult reports a plain parallel execution with no recording.
@@ -1119,7 +996,7 @@ func RunNative(prog *vm.Program, world *simos.World, cpus int, seed int64, costs
 	}, nil
 }
 
-// ErrTooManyEpochs is returned when MaxEpochs is exceeded.
+// ErrTooManyEpochs is returned (wrapped) when MaxEpochs is exceeded.
 var ErrTooManyEpochs = errors.New("core: too many epochs")
 
 // ErrCanceled is returned when Options.Context ends a recording at an

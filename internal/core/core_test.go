@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -134,8 +135,23 @@ func TestMaxEpochsGuards(t *testing.T) {
 	_, err := Record(prog, simos.NewWorld(1), Options{
 		Workers: 2, SpareCPUs: 2, EpochCycles: 1000, Seed: 1, MaxEpochs: 3,
 	})
-	if err == nil {
-		t.Fatal("MaxEpochs not enforced")
+	if !errors.Is(err, ErrTooManyEpochs) {
+		t.Fatalf("MaxEpochs not enforced: err = %v, want ErrTooManyEpochs", err)
+	}
+}
+
+// TestRecordCanceledAtEpochBoundary: a context that is already done stops
+// the recording at its first epoch boundary, with an error that names
+// both the recorder's cancellation and the context's own cause.
+func TestRecordCanceledAtEpochBoundary(t *testing.T) {
+	prog, _ := lockedCounterProg(2, 500)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res, err := Record(prog, simos.NewWorld(1), Options{
+		Workers: 2, SpareCPUs: 2, EpochCycles: 3000, Seed: 1, Context: ctx,
+	})
+	if res != nil || !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("Record = %v, %v; want ErrCanceled wrapping context.Canceled", res, err)
 	}
 }
 

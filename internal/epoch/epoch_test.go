@@ -169,12 +169,10 @@ func TestRunEpochMatchesThreadParallelState(t *testing.T) {
 	start, end, sync, sys := recordOneEpoch(t, prog, 8000)
 
 	res, err := epoch.Run(epoch.RunSpec{
-		Prog:      prog,
-		Start:     start,
-		Targets:   end.Targets(),
-		SyncOrder: sync,
-		Syscalls:  sys,
-		Costs:     vm.DefaultCosts(),
+		Prog:  prog,
+		Start: start,
+		Epoch: &dplog.EpochLog{Targets: end.Targets(), SyncOrder: sync, Syscalls: sys},
+		Costs: vm.DefaultCosts(),
 	})
 	if err != nil {
 		t.Fatalf("epoch run: %v", err)
@@ -205,12 +203,10 @@ func TestRunEpochDetectsMissingSyncOps(t *testing.T) {
 	phantom := append(append([]dplog.SyncRecord(nil), sync...),
 		dplog.SyncRecord{Tid: 1, Kind: vm.ObjLock, ID: 999})
 	_, err := epoch.Run(epoch.RunSpec{
-		Prog:      prog,
-		Start:     start,
-		Targets:   end.Targets(),
-		SyncOrder: phantom,
-		Syscalls:  sys,
-		Costs:     vm.DefaultCosts(),
+		Prog:  prog,
+		Start: start,
+		Epoch: &dplog.EpochLog{Targets: end.Targets(), SyncOrder: phantom, Syscalls: sys},
+		Costs: vm.DefaultCosts(),
 	})
 	if err == nil || !epoch.IsDivergence(err) {
 		t.Fatalf("err = %v, want divergence", err)

@@ -1,12 +1,18 @@
 // Package epoch implements DoublePlay's epoch machinery: boundary capture
-// (checkpoint + world snapshot), sync-order enforcement, syscall injection,
-// and the epoch-parallel runner that executes one epoch of the program with
-// all threads timesliced on a single simulated CPU.
+// (checkpoint + world snapshot) and the one uniprocessor epoch execution
+// that recording and replay share. [Exec] runs one epoch with all threads
+// timesliced on a single simulated CPU, fed recorded syscall results and
+// signal deliveries by the injectors and, unless it follows a recorded
+// schedule, held to the recorded sync order by the [Gate]. The recorder's
+// epoch-parallel run ([Run]), every replay and the debugger's stepper
+// drive it; each charges the same injection and enforcement costs and
+// makes the same end-of-epoch checks. [Logger] is the recording side of
+// the injectors: it logs a live world's inputs in the form they inject.
 //
-// The runner optionally narrates its timeslices into a trace.Sink
-// (RunSpec.Trace) with epoch-local timestamps; the recorder splices that
-// buffer to the epoch's pipeline-assigned position once known, so the
-// Perfetto timeline shows epoch work where it actually ran.
+// Executions optionally narrate their timeslices into a trace recorder
+// with epoch-local timestamps; the recorder splices that buffer to the
+// epoch's pipeline-assigned position once known, so the Perfetto timeline
+// shows epoch work where it actually ran.
 package epoch
 
 import (

@@ -53,18 +53,154 @@ func Capture(index int, cycle int64, m *vm.Machine, w *simos.World) *Boundary {
 	}
 }
 
+// Mode selects how an [Exec] schedules and constrains its epoch.
+type Mode uint8
+
+const (
+	// Replay reproduces the epoch's recorded schedule. A certified epoch
+	// carries none: it free-runs to its targets under the enforcing gate,
+	// exactly like the epoch-parallel run the recorder skipped.
+	Replay Mode = iota
+	// Record free-runs to the epoch's targets under the enforcing gate and
+	// logs the schedule it takes: the recorder's epoch-parallel run.
+	Record
+	// RecordUnenforced is Record with a gate that checks the sync order
+	// but never holds a thread back (the enforcement ablation), so
+	// lock-order races surface as divergences.
+	RecordUnenforced
+)
+
+// Exec is one epoch's uniprocessor execution: the execution DoublePlay
+// logs, and the one replay reproduces. It wires the epoch's recorded
+// inputs into a machine holding the epoch's start state — syscall results
+// through an InjectOS, signal deliveries through InjectSignals and, unless
+// it follows a recorded schedule, the sync order through a Gate — and runs
+// the threads timesliced on one CPU with a sched.Uni. The run is
+// resumable: Advance stops after any number of retirements, and a run
+// advanced in steps reaches the state and cost of one Run.
+type Exec struct {
+	M     *vm.Machine
+	Epoch *dplog.EpochLog
+	Uni   *sched.Uni
+	// EndHash is the machine's state hash once the run has completed and
+	// passed the end-of-epoch checks.
+	EndHash uint64
+
+	costs *vm.CostModel
+	inj   *InjectOS
+	sigs  *InjectSignals
+	gate  *Gate // nil when following a recorded schedule
+}
+
+// NewExec prepares m, which must hold ep's start state, to run ep in the
+// given mode. quantum is the scheduling quantum of a free run (zero =
+// default), and a non-nil tr receives the timeslices with epoch-local
+// timestamps.
+func NewExec(m *vm.Machine, ep *dplog.EpochLog, mode Mode, quantum int64, costs *vm.CostModel, tr trace.Recorder) *Exec {
+	x := &Exec{M: m, Epoch: ep, Uni: sched.NewUni(m), costs: costs}
+	x.inj = NewInjectOS(ep.Syscalls)
+	m.OS = x.inj
+	x.sigs = NewInjectSignals(ep.Signals)
+	m.Hooks.PendingSignal = x.sigs.Pending
+	x.Uni.Targets = ep.Targets
+	x.Uni.Trace = tr
+	if mode == Replay && !ep.Certified {
+		// Follow mode even for an empty schedule: the targets must then
+		// already be met.
+		x.Uni.Follow = ep.Schedule
+		if x.Uni.Follow == nil {
+			x.Uni.Follow = []dplog.Slice{}
+		}
+		return x
+	}
+	x.gate = NewGate(ep.SyncOrder)
+	if mode != RecordUnenforced {
+		m.Hooks.MayAcquire = x.gate.MayAcquire
+	}
+	m.Hooks.OnSync = x.gate.OnSync
+	if quantum > 0 {
+		x.Uni.Quantum = quantum
+	}
+	x.Uni.LogSchedule = mode != Replay
+	return x
+}
+
+// Advance runs the epoch for up to n more retirements and reports whether
+// it is complete. A completed run is checked: it must have consumed every
+// recorded sync op, syscall and signal and have the recorded thread
+// count, and then EndHash is set. Once the run completes or fails, the
+// gate is detached so the machine can go on to the next epoch.
+func (x *Exec) Advance(n uint64) (bool, error) {
+	done, err := x.Uni.Advance(n)
+	if !done && err == nil {
+		return false, nil
+	}
+	if x.gate != nil {
+		x.M.Hooks.MayAcquire = nil
+		x.M.Hooks.OnSync = nil
+	}
+	if err == nil {
+		err = x.check()
+	}
+	return err == nil, err
+}
+
+// Run runs the epoch to completion; see Advance.
+func (x *Exec) Run() error {
+	_, err := x.Advance(^uint64(0))
+	return err
+}
+
+// NextTid reports which thread the next retirement is expected on, when
+// known.
+func (x *Exec) NextTid() (int, bool) { return x.Uni.NextTid() }
+
+// Cost returns the modelled cost consumed so far: scheduler cycles plus
+// the per-injection and per-gate-op surcharges.
+func (x *Exec) Cost() int64 {
+	c := x.Uni.Cycles + int64(x.inj.Injected)*x.costs.InjectSysEvent
+	if x.gate != nil {
+		c += int64(x.gate.Used()) * x.costs.EnforceSyncEvent
+	}
+	return c
+}
+
+// check makes the end-of-epoch checks of a run that reached its targets.
+// Leftover inputs mean the execution took a different path even though
+// per-thread retirement counts lined up.
+func (x *Exec) check() error {
+	if x.gate != nil {
+		if r := x.gate.Remaining(); r != 0 {
+			return fmt.Errorf("%w: %d recorded sync ops never performed", ErrDiverged, r)
+		}
+		if e := x.gate.Err(); e != "" {
+			return fmt.Errorf("%w: %s", ErrDiverged, e)
+		}
+	}
+	if r := x.inj.Remaining(); r != 0 {
+		return fmt.Errorf("%w: %d recorded syscalls never issued", ErrDiverged, r)
+	}
+	if r := x.sigs.Remaining(); r != 0 {
+		return fmt.Errorf("%w: %d recorded signals never delivered", ErrDiverged, r)
+	}
+	if len(x.M.Threads) != len(x.Uni.Targets) {
+		return fmt.Errorf("%w: thread count %d differs from recorded %d",
+			ErrDiverged, len(x.M.Threads), len(x.Uni.Targets))
+	}
+	x.EndHash = x.M.StateHash()
+	return nil
+}
+
 // RunSpec describes one epoch-parallel execution: start from Start, run all
-// threads timesliced on one CPU to the per-thread Targets, constrained by
-// the recorded sync order and fed by recorded syscall results.
+// threads timesliced on one CPU to the per-thread targets of Epoch,
+// constrained by its recorded sync order and fed its recorded syscall
+// results and signals.
 type RunSpec struct {
-	Prog      *vm.Program
-	Start     *Boundary
-	Targets   []uint64
-	SyncOrder []dplog.SyncRecord
-	Syscalls  []dplog.SyscallRecord
-	Signals   []dplog.SignalRecord
-	Quantum   int64
-	Costs     *vm.CostModel
+	Prog    *vm.Program
+	Start   *Boundary
+	Epoch   *dplog.EpochLog
+	Quantum int64
+	Costs   *vm.CostModel
 
 	// DisableEnforcement turns off the sync-order gate (the ablation
 	// configuration): lock-order differences then surface as divergences.
@@ -96,25 +232,21 @@ type RunResult struct {
 	EndHash  uint64
 }
 
-// Run executes one epoch. A nil error means the epoch ran to its targets
-// under the recorded constraints; the caller still must compare EndHash
-// against the next boundary to detect data-race divergence.
+// Run executes one epoch in Record mode from a restored Start. A nil
+// error means the epoch ran to its targets under the recorded
+// constraints; the caller still must compare EndHash against the next
+// boundary to detect data-race divergence.
 func Run(spec RunSpec) (*RunResult, error) {
-	if spec.Quantum <= 0 {
-		spec.Quantum = sched.DefaultQuantum
+	mode := Record
+	if spec.DisableEnforcement {
+		mode = RecordUnenforced
 	}
-	inj := NewInjectOS(spec.Syscalls)
-	m := spec.Start.CP.Restore(spec.Prog, inj, spec.Costs)
-	sigs := NewInjectSignals(spec.Signals)
-	m.Hooks.PendingSignal = sigs.Pending
-
-	gate := NewGate(spec.SyncOrder)
-	if !spec.DisableEnforcement {
-		m.Hooks.MayAcquire = gate.MayAcquire
-	}
-	m.Hooks.OnSync = func(ev vm.SyncEvent) {
-		gate.OnSync(ev)
-		if spec.OnSync != nil {
+	m := spec.Start.CP.Restore(spec.Prog, nil, spec.Costs)
+	x := NewExec(m, spec.Epoch, mode, spec.Quantum, spec.Costs, spec.Trace)
+	if spec.OnSync != nil {
+		gate := m.Hooks.OnSync
+		m.Hooks.OnSync = func(ev vm.SyncEvent) {
+			gate(ev)
 			spec.OnSync(ev)
 		}
 	}
@@ -122,47 +254,15 @@ func Run(spec RunSpec) (*RunResult, error) {
 	if spec.Profile != nil {
 		spec.Profile.Attach(m)
 	}
-
-	uni := sched.NewUni(m)
-	uni.Quantum = spec.Quantum
-	uni.Targets = spec.Targets
-	uni.LogSchedule = true
-	uni.Trace = spec.Trace
-
-	err := uni.Run()
-	res := &RunResult{
+	err := x.Run()
+	return &RunResult{
 		M:        m,
-		Schedule: uni.Log,
-		Injected: inj.Injected,
-		Enforced: gate.Used(),
-	}
-	res.Cycles = uni.Cycles +
-		int64(inj.Injected)*spec.Costs.InjectSysEvent +
-		int64(gate.Used())*spec.Costs.EnforceSyncEvent
-	if err != nil {
-		return res, err
-	}
-	// The run reached its targets; cross-check that it consumed exactly the
-	// recorded constraint streams. Leftovers mean the execution took a
-	// different path even though per-thread retirement counts lined up.
-	if r := gate.Remaining(); r != 0 {
-		return res, fmt.Errorf("%w: %d recorded sync ops never performed", ErrDiverged, r)
-	}
-	if gateErr := gate.Err(); gateErr != "" {
-		return res, fmt.Errorf("%w: %s", ErrDiverged, gateErr)
-	}
-	if r := inj.Remaining(); r != 0 {
-		return res, fmt.Errorf("%w: %d recorded syscalls never issued", ErrDiverged, r)
-	}
-	if r := sigs.Remaining(); r != 0 {
-		return res, fmt.Errorf("%w: %d recorded signals never delivered", ErrDiverged, r)
-	}
-	if len(m.Threads) != len(spec.Targets) {
-		return res, fmt.Errorf("%w: thread count %d differs from recorded %d",
-			ErrDiverged, len(m.Threads), len(spec.Targets))
-	}
-	res.EndHash = m.StateHash()
-	return res, nil
+		Schedule: x.Uni.Log,
+		Cycles:   x.Cost(),
+		Injected: x.inj.Injected,
+		Enforced: x.gate.Used(),
+		EndHash:  x.EndHash,
+	}, err
 }
 
 // IsDivergence reports whether err indicates the execution departed from

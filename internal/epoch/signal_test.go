@@ -42,13 +42,11 @@ func TestRunEpochDetectsUndeliverableSignal(t *testing.T) {
 	// A phantom signal pinned past any thread's target can never be
 	// delivered: the run must be declared divergent.
 	_, err := epoch.Run(epoch.RunSpec{
-		Prog:      prog,
-		Start:     start,
-		Targets:   end.Targets(),
-		SyncOrder: sync,
-		Syscalls:  sys,
-		Signals:   []dplog.SignalRecord{{Tid: 1, Retired: 1 << 40, Sig: 9}},
-		Costs:     vm.DefaultCosts(),
+		Prog:  prog,
+		Start: start,
+		Epoch: &dplog.EpochLog{Targets: end.Targets(), SyncOrder: sync, Syscalls: sys,
+			Signals: []dplog.SignalRecord{{Tid: 1, Retired: 1 << 40, Sig: 9}}},
+		Costs: vm.DefaultCosts(),
 	})
 	if err == nil || !epoch.IsDivergence(err) {
 		t.Fatalf("err = %v, want divergence", err)

@@ -26,7 +26,6 @@ import (
 	"doubleplay/internal/dplog"
 	"doubleplay/internal/epoch"
 	"doubleplay/internal/profile"
-	"doubleplay/internal/sched"
 	"doubleplay/internal/trace"
 	"doubleplay/internal/vm"
 )
@@ -277,118 +276,34 @@ func pack(durs []int64, cpus int) ([]packSlot, int64) {
 	return slots, wall
 }
 
-// epochRun is one epoch's replay on a machine: the epoch's syscall and
-// signal injectors (and, for a certified epoch, its sync-order gate)
-// wired into the machine, and the uniprocessor scheduler that runs it.
-// Both the batch replay and the Stepper drive it.
-type epochRun struct {
-	m     *vm.Machine
-	ep    *dplog.EpochLog
-	costs *vm.CostModel
-	uni   *sched.Uni
-	inj   *epoch.InjectOS
-	sigs  *epoch.InjectSignals
-	gate  *epoch.Gate // non-nil iff the epoch is certified
-}
-
-// newEpochRun prepares m, which must hold ep's start state, to replay
-// ep. A scheduled epoch follows its recorded timeslices. A certified
-// epoch carries no schedule: its threads free-run timesliced under the
-// recorded sync-order gate, exactly like the epoch-parallel logging run
-// the recorder skipped; quantum is the recording's scheduling quantum
-// for that case (zero = default). A non-nil buf receives the
-// timeslices with epoch-local timestamps.
-func newEpochRun(m *vm.Machine, ep *dplog.EpochLog, quantum int64, costs *vm.CostModel, buf *trace.Sink) epochRun {
-	r := epochRun{m: m, ep: ep, costs: costs, uni: sched.NewUni(m)}
-	r.inj = epoch.NewInjectOS(ep.Syscalls)
-	m.OS = r.inj
-	r.sigs = epoch.NewInjectSignals(ep.Signals)
-	m.Hooks.PendingSignal = r.sigs.Pending
-	r.uni.Targets = ep.Targets
-	r.uni.Trace = buf
-	if ep.Certified {
-		r.gate = epoch.NewGate(ep.SyncOrder)
-		m.Hooks.MayAcquire = r.gate.MayAcquire
-		m.Hooks.OnSync = r.gate.OnSync
-		if quantum > 0 {
-			r.uni.Quantum = quantum
-		}
-	} else {
-		// Follow mode even for an empty schedule: the targets must then
-		// already be met.
-		r.uni.Follow = ep.Schedule
-		if r.uni.Follow == nil {
-			r.uni.Follow = []dplog.Slice{}
-		}
+// runEpoch replays one epoch on m, which holds the epoch's start state,
+// verifies it, and returns its modelled cost.
+func runEpoch(m *vm.Machine, ep *dplog.EpochLog, costs *vm.CostModel, quantum int64, buf *trace.Sink) (int64, error) {
+	x := epoch.NewExec(m, ep, epoch.Replay, quantum, costs, buf)
+	if err := finish(x, x.Run()); err != nil {
+		return 0, err
 	}
-	return r
+	return x.Cost(), nil
 }
 
-// cost returns the modelled cost consumed so far: scheduler cycles plus
-// the per-injection and, for a certified epoch, per-gate-op surcharges.
-func (r *epochRun) cost() int64 {
-	c := r.uni.Cycles + int64(r.inj.Injected)*r.costs.InjectSysEvent
-	if r.gate != nil {
-		c += int64(r.gate.Used()) * r.costs.EnforceSyncEvent
-	}
-	return c
-}
-
-// finish ends the run once the scheduler has completed or failed with
-// err. It detaches the gate, so the machine can run the next epoch, and
-// after a completed run makes the end-of-epoch cross-checks. The
+// finish turns the outcome err of x into the epoch's replay verdict: a
+// completed run must also have reached the recorded end hash. The
 // certificate of a certified epoch asserts that any sync-order-respecting
 // execution reaches the recorded end state, so its failures wrap
 // ErrCertViolated rather than reporting a divergence.
-func (r *epochRun) finish(err error) error {
-	if r.gate != nil {
-		r.m.Hooks.MayAcquire = nil
-		r.m.Hooks.OnSync = nil
-	}
-	if err == nil {
-		err = r.check()
+func finish(x *epoch.Exec, err error) error {
+	ep := x.Epoch
+	if err == nil && x.EndHash != ep.EndHash {
+		err = fmt.Errorf("end state hash %016x != recorded %016x", x.EndHash, ep.EndHash)
 	}
 	switch {
 	case err == nil:
 		return nil
-	case r.gate != nil:
-		return fmt.Errorf("%w: epoch %d: %v", ErrCertViolated, r.ep.Index, err)
+	case ep.Certified:
+		return fmt.Errorf("%w: epoch %d: %v", ErrCertViolated, ep.Index, err)
 	default:
-		return fmt.Errorf("replay: epoch %d: %w", r.ep.Index, err)
+		return fmt.Errorf("replay: epoch %d: %w", ep.Index, err)
 	}
-}
-
-// check verifies a completed epoch: every recorded sync op, syscall and
-// signal was consumed, and the machine reached the recorded end hash.
-func (r *epochRun) check() error {
-	if r.gate != nil {
-		if n := r.gate.Remaining(); n != 0 {
-			return fmt.Errorf("%d recorded sync ops never performed", n)
-		}
-		if e := r.gate.Err(); e != "" {
-			return errors.New(e)
-		}
-	}
-	if n := r.inj.Remaining(); n != 0 {
-		return fmt.Errorf("%d recorded syscalls never issued", n)
-	}
-	if n := r.sigs.Remaining(); n != 0 {
-		return fmt.Errorf("%d recorded signals never delivered", n)
-	}
-	if h := r.m.StateHash(); h != r.ep.EndHash {
-		return fmt.Errorf("end state hash %016x != recorded %016x", h, r.ep.EndHash)
-	}
-	return nil
-}
-
-// runEpoch replays one epoch on m, which holds the epoch's start state,
-// verifies it, and returns its modelled cost.
-func runEpoch(m *vm.Machine, ep *dplog.EpochLog, costs *vm.CostModel, quantum int64, buf *trace.Sink) (int64, error) {
-	r := newEpochRun(m, ep, quantum, costs, buf)
-	if err := r.finish(r.uni.Run()); err != nil {
-		return 0, err
-	}
-	return r.cost(), nil
 }
 
 // RunOneEpoch replays one epoch on m, which must hold the epoch's start

@@ -1,9 +1,9 @@
 // Resumable single-epoch execution: the Stepper replays one epoch one
 // retired guest instruction at a time, pausing between instructions with
-// the machine in a fully inspectable state. It drives the same epochRun
-// as runEpoch — same injectors, same sched.Uni, same end-of-epoch checks
-// — advancing the scheduler one retirement per Step instead of to
-// completion, so a fully stepped epoch lands on exactly the state and
+// the machine in a fully inspectable state. It drives the same
+// epoch.Exec as runEpoch — same injectors, same sched.Uni, same
+// end-of-epoch checks — advancing it one retirement per Step instead of
+// to completion, so a fully stepped epoch lands on exactly the state and
 // cost runEpoch computes. The debug session (internal/debug) is built on
 // it: every stop point a debugger can reach is "boundary checkpoint +
 // k Stepper.Step calls", which is what makes positions comparable across
@@ -15,6 +15,7 @@ import (
 	"fmt"
 
 	"doubleplay/internal/dplog"
+	"doubleplay/internal/epoch"
 	"doubleplay/internal/vm"
 )
 
@@ -34,7 +35,7 @@ type StepEvent struct {
 // final instruction, so a Stepper that reports Done has proved the epoch
 // reproduced the recording.
 type Stepper struct {
-	r     epochRun
+	x     *epoch.Exec
 	marks []threadMark // per-thread state before the current Step
 	steps uint64
 	done  bool
@@ -60,7 +61,7 @@ func NewStepper(m *vm.Machine, ep *dplog.EpochLog, quantum int64, costs *vm.Cost
 	if costs == nil {
 		costs = vm.DefaultCosts()
 	}
-	s := &Stepper{r: newEpochRun(m, ep, quantum, costs, nil)}
+	s := &Stepper{x: epoch.NewExec(m, ep, epoch.Replay, quantum, costs, nil)}
 	if err := s.advance(0); err != nil {
 		return nil, err
 	}
@@ -78,19 +79,19 @@ func (s *Stepper) Err() error { return s.err }
 func (s *Stepper) Steps() uint64 { return s.steps }
 
 // Epoch returns the epoch log being stepped.
-func (s *Stepper) Epoch() *dplog.EpochLog { return s.r.ep }
+func (s *Stepper) Epoch() *dplog.EpochLog { return s.x.Epoch }
 
 // Cycles returns the epoch cost consumed so far, on the same scale as
 // runEpoch's return. When Done, this equals what runEpoch would have
 // returned for the whole epoch.
-func (s *Stepper) Cycles() int64 { return s.r.cost() }
+func (s *Stepper) Cycles() int64 { return s.x.Cost() }
 
 // NextTid reports which thread the scheduler will run next, when known.
 func (s *Stepper) NextTid() (int, bool) {
 	if s.done || s.err != nil {
 		return 0, false
 	}
-	return s.r.uni.NextTid()
+	return s.x.NextTid()
 }
 
 // Step retires exactly one guest instruction and returns what retired.
@@ -100,13 +101,13 @@ func (s *Stepper) Step() (StepEvent, error) {
 		return StepEvent{}, s.err
 	}
 	if s.done {
-		return StepEvent{}, fmt.Errorf("replay: epoch %d already complete", s.r.ep.Index)
+		return StepEvent{}, fmt.Errorf("replay: epoch %d already complete", s.x.Epoch.Index)
 	}
 	// Note the threads that may retire: in a follow run exactly the
 	// scheduled one; in a free run an attempt that blocks hands the CPU to
 	// the next thread, so any of them.
-	may := s.r.m.Threads
-	if tid, ok := s.r.uni.NextTid(); ok && s.r.uni.Follow != nil && tid >= 0 && tid < len(may) {
+	may := s.x.M.Threads
+	if tid, ok := s.x.NextTid(); ok && s.x.Uni.Follow != nil && tid >= 0 && tid < len(may) {
 		may = may[tid : tid+1]
 	}
 	s.marks = s.marks[:0]
@@ -124,12 +125,12 @@ func (s *Stepper) Step() (StepEvent, error) {
 	return ev, err
 }
 
-// advance runs the scheduler for up to n retirements and, when the epoch
-// completes or fails, finishes it.
+// advance runs the epoch for up to n retirements and, when it completes
+// or fails, records the verdict.
 func (s *Stepper) advance(n uint64) error {
-	done, err := s.r.uni.Advance(n)
+	done, err := s.x.Advance(n)
 	if done || err != nil {
-		err = s.r.finish(err)
+		err = finish(s.x, err)
 		s.done, s.err = err == nil, err
 	}
 	return err
